@@ -112,27 +112,17 @@ class TripleStore:
 
         id_triples = {}
         for split, rows in splits.items():
-            seen = set()
-            kept = []
-            for h, r, t in rows:
-                key = (h, r, t)
-                if key in seen:
-                    continue
-                seen.add(key)
-                kept.append((entity_to_id[h], relation_to_id[r], entity_to_id[t]))
+            # dict keys drop repeats and keep the first occurrence's order
+            kept = list(dict.fromkeys(
+                (entity_to_id[h], relation_to_id[r], entity_to_id[t]) for h, r, t in rows))
             dropped = len(rows) - len(kept)
             if dropped:
                 log.warning("%s split: dropped %d duplicate triples", split, dropped)
             id_triples[split] = np.asarray(kept, dtype=np.intp).reshape(-1, 3)
 
-        train_entities = set(id_triples["train"][:, :1].ravel()) | set(
-            id_triples["train"][:, 2:].ravel()
-        )
-        unseen = [
-            label
-            for label, i in entity_to_id.items()
-            if i not in train_entities
-        ]
+        trained = np.zeros(len(entity_to_id), dtype=bool)
+        trained[id_triples["train"][:, [0, 2]]] = True
+        unseen = [label for label, i in entity_to_id.items() if not trained[i]]
         if unseen:
             log.warning(
                 "%d entities appear only in valid/test and are never trained: %s%s",
@@ -226,49 +216,62 @@ def add_inverse_relations(store):
 def relation_stats(store):
     """Per-relation mean tails-per-head and heads-per-tail on the train split.
 
-    Returns (tph, hpt) as float arrays of length num_relations. Relations
-    absent from the training split fall back to tph = hpt = 1, which makes
-    the Bernoulli corruption probability an even split.
+    Returns (tph, hpt) as float arrays of length num_relations, counted over
+    the distinct training triples. Relations absent from the training split
+    fall back to tph = hpt = 1, which makes the Bernoulli corruption
+    probability an even split.
     """
-    R = store.num_relations
-    tph = np.ones(R)
-    hpt = np.ones(R)
-    train = store.triples["train"]
-    for r in range(R):
-        rows = train[train[:, 1] == r]
-        if rows.shape[0] == 0:
-            continue
-        n_heads = len(np.unique(rows[:, 0]))
-        n_tails = len(np.unique(rows[:, 2]))
-        tph[r] = rows.shape[0] / n_heads
-        hpt[r] = rows.shape[0] / n_tails
+    R, E = store.num_relations, store.num_entities
+    index = FilterIndex(store, splits=("train",))
+    # tail keys // E are the (h, r) prefixes h·R + r; head keys // E are r·E + t
+    triples = np.bincount(index.tail_keys // E % R, minlength=R)
+    heads = np.bincount(np.unique(index.tail_keys // E) % R, minlength=R)
+    tails = np.bincount(np.unique(index.head_keys // E) // E, minlength=R)
+    tph = np.divide(triples, heads, out=np.ones(R), where=triples > 0)
+    hpt = np.divide(triples, tails, out=np.ones(R), where=triples > 0)
     return tph, hpt
 
 
 class FilterIndex:
     """True-triple lookups for filtered negative sampling and evaluation.
 
-    Maps (h, r) to the sorted array of known true tails and (r, t) to the
-    sorted array of known true heads, over whichever splits it was built from.
+    The distinct triples of the chosen splits are two sorted int64 key arrays,
+    tail_keys (h·R + r)·E + t and head_keys (r·E + t)·E + h, so the known tails
+    of (h, r) are one searchsorted range of tail_keys, [(h·R + r)·E, +E).
     """
 
     def __init__(self, store, splits=SPLITS):
-        self._tails = {}
-        self._heads = {}
-        for h, r, t in store.all_triples(splits):
-            self._tails.setdefault((int(h), int(r)), set()).add(int(t))
-            self._heads.setdefault((int(r), int(t)), set()).add(int(h))
-        self._tails = {k: np.array(sorted(v), dtype=np.intp) for k, v in self._tails.items()}
-        self._heads = {k: np.array(sorted(v), dtype=np.intp) for k, v in self._heads.items()}
-        self._empty = np.empty(0, dtype=np.intp)
+        E, R = store.num_entities, store.num_relations
+        if E * E * max(R, 1) >= 2**63:
+            raise ValueError(f"{E} entities and {R} relations overflow int64 triple keys")
+        self.num_entities, self.num_relations = E, R
+        h, r, t = store.all_triples(splits).astype(np.int64).T
+        self.tail_keys = np.unique((h * R + r) * E + t)
+        self.head_keys = np.unique((r * E + t) * E + h)
+
+    def _pairs(self, side, a, b):
+        """(rows, entities) of every known completion of the query batch
+        (a[i], b[i]): (h, r) for side "tail", (r, t) for side "head"."""
+        E = self.num_entities
+        keys = self.tail_keys if side == "tail" else self.head_keys
+        width = self.num_relations if side == "tail" else E
+        start = (np.asarray(a, dtype=np.int64) * width + b).reshape(-1) * E
+        lo = np.searchsorted(keys, start)
+        counts = np.searchsorted(keys, start + E) - lo
+        rows = np.repeat(np.arange(start.size), counts)
+        # a row's entries sit at lo, lo + 1, ... of its range
+        pos = np.arange(rows.size) + (lo - np.cumsum(counts) + counts)[rows]
+        return rows, keys[pos] - start[rows]
 
     def tails(self, h, r):
         """All known true tails t such that (h, r, t) is a stored triple."""
-        return self._tails.get((int(h), int(r)), self._empty)
+        return self._pairs("tail", h, r)[1]
 
     def heads(self, r, t):
         """All known true heads h such that (h, r, t) is a stored triple."""
-        return self._heads.get((int(r), int(t)), self._empty)
+        return self._pairs("head", r, t)[1]
 
     def contains(self, h, r, t):
-        return int(t) in self._tails.get((int(h), int(r)), ())
+        """Whether (h, r, t) is a stored triple; broadcasts over arrays."""
+        key = (np.asarray(h, dtype=np.int64) * self.num_relations + r) * self.num_entities + t
+        return np.searchsorted(self.tail_keys, key, "right") > np.searchsorted(self.tail_keys, key)

@@ -187,7 +187,6 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
         raise ValueError("use_inverse needs an inverse-augmented store")
     triples = store.triples[split]
     fi = FilterIndex(store, splits=filter_splits) if filtered else None
-    E = store.num_entities
 
     side_ranks = {}
     for side in sides:
@@ -203,9 +202,8 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
             # filtering only removes the OTHER known-true entities
             mask = np.ones(S.shape, dtype=bool)
             if filtered:
-                for i, (h, r, t) in enumerate(chunk):
-                    known = fi.tails(h, r) if side == "tail" else fi.heads(r, t)
-                    mask[i, known] = False
+                query = chunk[:, :2] if side == "tail" else chunk[:, 1:]  # (h, r) or (r, t)
+                mask[fi._pairs(side, *query.T)] = False
             mask[np.arange(chunk.shape[0]), targets] = False
             true_scores = S[np.arange(chunk.shape[0]), targets]
             gt = (S > true_scores[:, None]) & mask

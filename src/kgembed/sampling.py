@@ -9,15 +9,18 @@ Negative sampling corrupts exactly one side of a positive triple. The side
 is an even coin under uniform sampling; under Bernoulli sampling the head is
 corrupted with probability tph / (tph + hpt), which corrupts the dense side
 of skewed relations less often and so produces fewer false negatives. The
-replacement entity is uniform over all entities except the original one.
+replacement entity is uniform over all entities except the positive's own.
 The corrupted side is redrawn per negative, never once per positive.
+Filtered sampling redraws known training triples on the same side, in
+vectorized rounds over the batch, up to MAX_REDRAWS rounds; the known
+triples left after that are counted in residual_false_negatives.
 """
 
 import zlib
 
 import numpy as np
 
-from .datasets import relation_stats
+from .datasets import FilterIndex, relation_stats
 
 
 def derive_seed(master, stage):
@@ -35,8 +38,9 @@ class NegativeSampler:
     kind: "uniform" corrupts head or tail with equal probability;
     "bernoulli" uses per-relation tph/hpt statistics from the training split.
     With filtered=True, negatives that collide with known true triples are
-    redrawn a bounded number of times (default off: the occasional false
-    negative is part of the training signal).
+    redrawn for up to MAX_REDRAWS rounds (default off: the occasional false
+    negative is part of the training signal); residual_false_negatives
+    counts the known triples returned anyway, over all calls.
     """
 
     MAX_REDRAWS = 20
@@ -48,6 +52,7 @@ class NegativeSampler:
         self.num_entities = store.num_entities
         self.filtered = filtered
         self._filter = filter_index
+        self.residual_false_negatives = 0
         if filtered and filter_index is None:
             raise ValueError("filtered sampling needs a filter index")
         if kind == "bernoulli":
@@ -86,25 +91,20 @@ class NegativeSampler:
         neg[:, :, 2] = np.where(corrupt_head, neg[:, :, 2], replacement)
 
         if self.filtered:
-            self._redraw_true(rng, neg, corrupt_head)
+            self._redraw_true(rng, neg.reshape(-1, 3), corrupt_head.ravel(), originals.ravel())
         return neg
 
-    def _redraw_true(self, rng, neg, corrupt_head):
+    def _redraw_true(self, rng, flat, corrupt_head, originals):
+        """Redraw known (N, 3) negatives in place; never to `originals`."""
         fi = self._filter
-        B, K, _ = neg.shape
-        for b in range(B):
-            for k in range(K):
-                h, r, t = neg[b, k]
-                tries = 0
-                while fi.contains(h, r, t) and tries < self.MAX_REDRAWS:
-                    original = h if corrupt_head[b, k] else t
-                    repl = int(self._replacement(rng, np.asarray(original)))
-                    if corrupt_head[b, k]:
-                        h = repl
-                    else:
-                        t = repl
-                    tries += 1
-                neg[b, k, 0], neg[b, k, 2] = h, t
+        todo = np.flatnonzero(fi.contains(*flat.T))
+        for _ in range(self.MAX_REDRAWS):
+            if todo.size == 0:
+                break
+            column = np.where(corrupt_head[todo], 0, 2)
+            flat[todo, column] = self._replacement(rng, originals[todo])
+            todo = todo[fi.contains(*flat[todo].T)]
+        self.residual_false_negatives += todo.size
 
 
 def slcwa_batches(store, batch_size, rng):
@@ -127,22 +127,21 @@ class LCWATask:
     """
 
     def __init__(self, store):
-        groups = {}
-        for h, r, t in store.triples["train"]:
-            groups.setdefault((int(h), int(r)), []).append(int(t))
-        self.pairs = np.array(sorted(groups), dtype=np.intp).reshape(-1, 2)
-        self.tails = [np.array(sorted(set(groups[tuple(p)])), dtype=np.intp)
-                      for p in self.pairs]
-        self.num_entities = store.num_entities
+        self._index = FilterIndex(store, splits=("train",))
+        E, R = store.num_entities, store.num_relations
+        prefixes, starts = np.unique(self._index.tail_keys // E, return_index=True)
+        self.pairs = np.stack([prefixes // R, prefixes % R], axis=1).astype(np.intp)
+        self.tails = np.split(self._index.tail_keys % E, starts[1:])
+        self.num_entities = E
 
     def __len__(self):
         return self.pairs.shape[0]
 
     def label_matrix(self, indices):
         """Multi-hot {0,1} label rows for the given group indices."""
-        labels = np.zeros((len(indices), self.num_entities))
-        for row, i in enumerate(indices):
-            labels[row, self.tails[i]] = 1.0
+        pairs = self.pairs[np.asarray(indices, dtype=np.intp)]
+        labels = np.zeros((pairs.shape[0], self.num_entities))
+        labels[self._index._pairs("tail", pairs[:, 0], pairs[:, 1])] = 1.0
         return labels
 
 

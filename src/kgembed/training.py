@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Graph
+from .datasets import FilterIndex
 from .losses import LossSpec, slcwa_loss, lcwa_loss, SLCWA_KINDS, LCWA_KINDS
 from .sampling import NegativeSampler, LCWATask, slcwa_batches, lcwa_batches, rng_for
 
@@ -262,8 +263,6 @@ def train(model, params, store, config, evaluate_fn=None, trace_path=None,
     optimizer = make_optimizer(config.optimizer, params)
     sampler = task = None
     if config.approach == "slcwa":
-        from .datasets import FilterIndex
-
         fi = FilterIndex(store, splits=("train",)) if config.filtered_sampling else None
         sampler = NegativeSampler(
             store, kind=config.sampler, filtered=config.filtered_sampling, filter_index=fi

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kgembed.datasets import (
+    SPLITS,
     FilterIndex,
     TripleStore,
     add_inverse_relations,
@@ -224,26 +225,42 @@ def test_relation_stats_matches_direct_count_on_random_stores():
 
 def test_filter_index_matches_linear_scan():
     rng = np.random.default_rng(5)
-    for _ in range(25):
+    for trial in range(25):
         n_e, n_r = int(rng.integers(3, 10)), int(rng.integers(1, 4))
         mk = lambda n: rng.integers(0, [n_e, n_r, n_e], size=(n, 3))
         s = TripleStore(
             {f"e{i}": i for i in range(n_e)},
             {f"r{i}": i for i in range(n_r)},
-            {"train": mk(20), "valid": mk(5), "test": mk(5)},
+            # every fifth store has an empty validation split
+            {"train": mk(20), "valid": mk(0 if trial % 5 == 0 else 5), "test": mk(5)},
         )
-        idx = FilterIndex(s)
-        allt = s.all_triples()
-        for _ in range(10):
-            h, r, t = (int(rng.integers(0, n_e)), int(rng.integers(0, n_r)),
-                       int(rng.integers(0, n_e)))
-            want_t = sorted({int(row[2]) for row in allt if row[0] == h and row[1] == r})
-            want_h = sorted({int(row[0]) for row in allt if row[1] == r and row[2] == t})
-            assert idx.tails(h, r).tolist() == want_t
-            assert idx.heads(r, t).tolist() == want_h
-            assert idx.contains(h, r, t) == any(
-                row[0] == h and row[1] == r and row[2] == t for row in allt
-            )
+        stores = [(s, SPLITS), (s, ("valid",)), (add_inverse_relations(s), SPLITS)]
+        for store, splits in stores:
+            idx = FilterIndex(store, splits=splits)
+            allt = store.all_triples(splits)
+            R = store.num_relations
+            queries = rng.integers(0, [n_e, R, n_e], size=(10, 3))
+            want_t = [sorted({int(row[2]) for row in allt if row[0] == h and row[1] == r})
+                      for h, r, _ in queries]
+            want_h = [sorted({int(row[0]) for row in allt if row[1] == r and row[2] == t})
+                      for _, r, t in queries]
+            want_c = [any(np.array_equal(row, q) for row in allt) for q in queries]
+            for i, (h, r, t) in enumerate(queries):
+                assert idx.tails(h, r).tolist() == want_t[i]
+                assert idx.heads(r, t).tolist() == want_h[i]
+                assert idx.contains(h, r, t) == want_c[i]
+            # batched queries: one (row, entity) pair per known completion
+            rows, tails = idx._pairs("tail", queries[:, 0], queries[:, 1])
+            assert list(zip(rows.tolist(), tails.tolist())) == [
+                (i, e) for i, want in enumerate(want_t) for e in want]
+            rows, heads = idx._pairs("head", queries[:, 1], queries[:, 2])
+            assert list(zip(rows.tolist(), heads.tolist())) == [
+                (i, e) for i, want in enumerate(want_h) for e in want]
+            got = idx.contains(queries[:, 0], queries[:, 1], queries[:, 2])
+            assert got.tolist() == want_c
+            assert idx.contains(queries[:, 0][:, None], queries[:, 1][:, None],
+                                np.arange(n_e)).tolist() == [
+                [e in want for e in range(n_e)] for want in want_t]
 
 
 def test_filter_index_respects_split_selection():

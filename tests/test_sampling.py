@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kgembed.datasets import FilterIndex, TripleStore
+from kgembed.datasets import FilterIndex, TripleStore, add_inverse_relations
 from kgembed.sampling import (
     LCWATask,
     NegativeSampler,
@@ -157,6 +157,41 @@ def test_filtered_sampling_avoids_known_true_triples():
         assert not fi.contains(*row)
 
 
+def complete_store(n):
+    """One relation linking every entity to every other entity."""
+    return TripleStore.from_labeled_triples(
+        [(f"e{i}", "r", f"e{j}") for i in range(n) for j in range(n) if i != j])
+
+
+def test_filtered_redraw_never_returns_the_positive():
+    # each (h, r) and (r, t) misses one entity, so the redraw cap is hit
+    # often; a redraw that could restore the positive's entity would then
+    # sometimes return the positive itself
+    s = complete_store(8)
+    fi = FilterIndex(s, splits=("train",))
+    pos = s.triples["train"]
+    for seed in range(50):
+        sampler = NegativeSampler(s, kind="bernoulli", filtered=True, filter_index=fi)
+        neg = sampler.corrupt(np.random.default_rng(seed), pos, 4)
+        assert not np.any(np.all(neg == pos[:, None, :], axis=2))
+        assert sampler.residual_false_negatives > 0
+
+
+def test_residual_false_negatives_count_what_the_cap_leaves():
+    # 19 of the 20 candidates of every redraw are known, so about a third of
+    # the negatives are still known after MAX_REDRAWS rounds
+    s = complete_store(21)
+    fi = FilterIndex(s, splits=("train",))
+    sampler = NegativeSampler(s, kind="uniform", filtered=True, filter_index=fi)
+    rng = np.random.default_rng(13)
+    returned = 0
+    for _ in range(3):
+        neg = sampler.corrupt(rng, s.triples["train"][:40], 4)
+        returned += int(np.sum(fi.contains(neg[..., 0], neg[..., 1], neg[..., 2])))
+    assert returned > 0
+    assert sampler.residual_false_negatives == returned
+
+
 def test_unfiltered_sampling_does_produce_false_negatives():
     s = toy_store()
     fi = FilterIndex(s, splits=("train",))
@@ -204,6 +239,26 @@ def test_lcwa_task_groups_pairs_and_tails():
     assert labels.shape == (1, s.num_entities)
     assert labels[0].sum() == 3
     assert np.all(labels[0, want] == 1.0)
+
+    # random stores, plain and inverse-augmented, against a per-row loop
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n_e, n_r = int(rng.integers(3, 12)), int(rng.integers(1, 4))
+        rows = rng.integers(0, [n_e, n_r, n_e], size=(int(rng.integers(1, 60)), 3))
+        s = TripleStore.from_labeled_triples([(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows])
+        for store in (s, add_inverse_relations(s)):
+            task = LCWATask(store)
+            train = store.triples["train"]
+            groups = sorted({(int(h), int(r)) for h, r, _ in train})
+            assert task.pairs.tolist() == [list(g) for g in groups]
+            indices = rng.permutation(len(task))[: int(rng.integers(1, len(task) + 1))]
+            want = np.zeros((len(indices), store.num_entities))
+            for row, i in enumerate(indices):
+                h, r = groups[i]
+                tails = sorted({int(t) for hh, rr, t in train if (hh, rr) == (h, r)})
+                assert task.tails[i].tolist() == tails
+                want[row, tails] = 1.0
+            assert np.array_equal(task.label_matrix(indices), want)
 
 
 def test_lcwa_batches_cover_every_pair_once():
