@@ -8,6 +8,14 @@ topological order because the graph is append-only).
 Graphs are cheap, throwaway objects: build one per batch, call backward once,
 read the leaf gradients, drop it. A Graph is not thread-safe; confine each
 graph to the thread that built it.
+
+Gradient ownership: a VJP may return views of its inputs or the very array it
+was handed (`add` gives the same `g` to both parents), and returns None for a
+parent that does not require a gradient. backward therefore never writes into
+a VJP's return value; it accumulates in place only into a buffer the sweep
+allocated itself (a copy of a view, or the sum made at a node's second
+contribution). Leaf gradients may alias each other or internal arrays and
+must be treated as read-only by their readers.
 """
 
 import weakref
@@ -139,6 +147,7 @@ _FORWARD = {
     "softplus": lambda at, a: _softplus(a),
     "softmax": lambda at, a: _fw_softmax(a, at["axis"]),
     "logsumexp": lambda at, a: _fw_logsumexp(a, at["axis"], at["keepdims"]),
+    "softmax_xent": lambda at, x, labels: _fw_softmax_xent(at, x, labels),
     "sin": lambda at, a: np.sin(a),
     "cos": lambda at, a: np.cos(a),
     "circcorr": lambda at, a, b: _circcorr(a, b),
@@ -152,6 +161,16 @@ def _fw_softmax(x, axis):
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _fw_softmax_xent(at, x, labels):
+    # per-row logsumexp(x) - labels . x; the (B, 1) logsumexp is kept for the VJP
+    m = np.max(x, axis=1, keepdims=True)
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
+    lse = m + np.log(np.sum(e, axis=1, keepdims=True))
+    at["lse"] = lse
+    return lse[:, 0] - np.einsum("be,be->b", labels, x)
 
 
 def _fw_logsumexp(x, axis, keepdims):
@@ -181,21 +200,28 @@ def _vjp_sub(g, node, a, b):
 
 
 def _vjp_mul(g, node, a, b):
-    return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
+    pa, pb = node.parents
+    return (_unbroadcast(g * b, a.shape) if pa.requires_grad else None,
+            _unbroadcast(g * a, b.shape) if pb.requires_grad else None)
 
 
 def _vjp_div(g, node, a, b):
-    return _unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape)
+    pa, pb = node.parents
+    return (_unbroadcast(g / b, a.shape) if pa.requires_grad else None,
+            _unbroadcast(-g * a / (b * b), b.shape) if pb.requires_grad else None)
 
 
 def _vjp_matmul(g, node, a, b):
-    return g @ b.T, a.T @ g
+    pa, pb = node.parents
+    return (g @ b.T if pa.requires_grad else None,
+            a.T @ g if pb.requires_grad else None)
 
 
 def _vjp_einsum2(g, node, a, b):
     sa, sb, so = node.attrs["_parts"]
-    ga = np.einsum(f"{so},{sb}->{sa}", g, b, optimize=True)
-    gb = np.einsum(f"{sa},{so}->{sb}", a, g, optimize=True)
+    pa, pb = node.parents
+    ga = np.einsum(f"{so},{sb}->{sa}", g, b, optimize=True) if pa.requires_grad else None
+    gb = np.einsum(f"{sa},{so}->{sb}", a, g, optimize=True) if pb.requires_grad else None
     return ga, gb
 
 
@@ -259,6 +285,15 @@ def _vjp_logsumexp(g, node, a):
     return (gg * e / np.sum(e, axis=at["axis"], keepdims=True),)
 
 
+def _vjp_softmax_xent(g, node, x, labels):
+    # (softmax(x) - labels) * g, built in one buffer
+    out = np.subtract(x, node.attrs["lse"])
+    np.exp(out, out=out)
+    out -= labels
+    out *= g[:, None]
+    return out, None
+
+
 def _vjp_conv2d(g, node, x, f):
     # g: (..., F, mo, no)
     kr, kc = f.shape[-2:]
@@ -299,6 +334,7 @@ _VJP = {
     "softplus": lambda g, node, a: (g * _stable_sigmoid(a),),
     "softmax": _vjp_softmax,
     "logsumexp": _vjp_logsumexp,
+    "softmax_xent": _vjp_softmax_xent,
     "sin": lambda g, node, a: (g * np.cos(a),),
     "cos": lambda g, node, a: (-g * np.sin(a),),
     "circcorr": lambda g, node, a, b: (
@@ -507,6 +543,20 @@ class Graph:
     def logsumexp(self, a, axis=-1, keepdims=False):
         return self.apply("logsumexp", a, axis=axis, keepdims=keepdims)
 
+    def softmax_xent(self, scores, labels):
+        """Per-row softmax cross entropy of (B, E) scores against a label array.
+
+        Returns the (B,) node logsumexp(scores_b) - labels_b . scores_b; the
+        labels are a constant and receive no gradient.
+        """
+        labels = self.constant(labels)
+        if scores.value.ndim != 2 or labels.shape != scores.shape:
+            raise ValueError(
+                f"softmax_xent needs (B, E) scores and labels of the same shape, "
+                f"got {scores.shape} and {labels.shape}"
+            )
+        return self.apply("softmax_xent", scores, labels)
+
     def sin(self, a):
         return self.apply("sin", a)
 
@@ -542,6 +592,7 @@ class Graph:
             raise RuntimeError("backward already ran on this graph; call reset_grads() first")
         self._backward_ran = True
         loss.grad = np.ones_like(loss.value)
+        owned = set()  # ids of nodes whose grad buffer this sweep allocated
         for node in reversed(self.nodes[: loss.id + 1]):
             if node.grad is None or node.op == "leaf":
                 continue
@@ -552,9 +603,15 @@ class Graph:
                 if pg is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = pg.copy() if pg.base is not None else pg
+                    if pg.base is not None:
+                        pg = pg.copy()
+                        owned.add(parent.id)
+                    parent.grad = pg
+                elif parent.id in owned:
+                    parent.grad += pg
                 else:
                     parent.grad = parent.grad + pg
+                    owned.add(parent.id)
 
     def reset_grads(self):
         for node in self.nodes:

@@ -191,11 +191,25 @@ def _load_study(path):
             "retrain": retrain, "workers": workers}
 
 
+def _env_workers(default):
+    """Study workers, overridden by a positive integer in KGEMBED_THREADS."""
+    raw = os.environ.get("KGEMBED_THREADS")
+    if raw is None:
+        return default
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError([f"KGEMBED_THREADS: expected a positive integer, got {raw!r}"])
+    return workers
+
+
 def cmd_hpo(args):
     study = _load_study(args.study)
+    workers = _env_workers(study["workers"])
     out_dir = os.environ.get("KGEMBED_OUTPUT_DIR") or study["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    workers = int(os.environ.get("KGEMBED_THREADS", study["workers"]))
     store = load_store(study["dataset"])
 
     result = random_search(

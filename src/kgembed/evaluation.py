@@ -174,19 +174,23 @@ def _score_matrix(model, params, side, triples, use_inverse, base_relations):
 
 def compute_ranks(model, params, store, split="test", *, filtered=True,
                   filter_splits=SPLITS, use_inverse=None, sides=SIDES,
-                  batch_size=64):
+                  batch_size=64, filter_index=None):
     """Rank every triple of a split in the requested directions.
 
     use_inverse defaults to whether the store was augmented with inverse
     relations; when true, head queries are answered by scoring all tails of
-    (t, r_inverse).
+    (t, r_inverse). filter_index, when given, is used for filtering instead
+    of building a FilterIndex over filter_splits; a caller that ranks the
+    same store repeatedly builds it once and passes it every time.
     """
     if use_inverse is None:
         use_inverse = store.inverse_augmented
     if use_inverse and not store.inverse_augmented:
         raise ValueError("use_inverse needs an inverse-augmented store")
     triples = store.triples[split]
-    fi = FilterIndex(store, splits=filter_splits) if filtered else None
+    if filtered and filter_index is None:
+        filter_index = FilterIndex(store, splits=filter_splits)
+    fi = filter_index if filtered else None
 
     side_ranks = {}
     for side in sides:
@@ -219,12 +223,20 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
 def make_validation_callback(model, store, *, split="valid", metric="hits_at_10",
                              side="both", definition="realistic", filtered=True,
                              use_inverse=None, batch_size=64):
-    """A params -> float scorer for early stopping."""
+    """A params -> float scorer for early stopping.
+
+    The filter index over all splits is built once, by the first call, and
+    reused by every later call.
+    """
+    fi = None
 
     def callback(params):
+        nonlocal fi
+        if filtered and fi is None:
+            fi = FilterIndex(store)
         result = compute_ranks(
             model, params, store, split=split, filtered=filtered,
-            use_inverse=use_inverse, batch_size=batch_size,
+            use_inverse=use_inverse, batch_size=batch_size, filter_index=fi,
         )
         return result.get(metric=metric, side=side, definition=definition)
 

@@ -126,7 +126,10 @@ def cel_loss(g, spec, scores, labels):
 
     scores: (B, E) node; labels: (B, E) array of nonnegative rows summing
     to 1 (rows of all zeros are rejected). Equals
-    mean_b [ logsumexp(scores_b) - sum_e labels_be * scores_be ].
+    mean_b [ logsumexp(scores_b) - sum_e labels_be * scores_be ], computed by
+    the fused softmax_xent op: its gradient (softmax(scores) - labels) / B is
+    built in one (B, E) buffer. The labels array is read, never written, and
+    stays referenced by the graph until the graph is dropped.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != scores.shape:
@@ -138,9 +141,7 @@ def cel_loss(g, spec, scores, labels):
         raise ValueError("cross-entropy labels must not be all-zero rows")
     if not np.allclose(sums, 1.0, atol=1e-9):
         raise ValueError("cross-entropy labels must sum to 1 per row")
-    lse = g.logsumexp(scores, axis=1)
-    dot = (g.constant(labels) * scores).sum(axis=1)
-    return (lse - dot).mean()
+    return g.softmax_xent(scores, labels).mean()
 
 
 def slcwa_loss(g, spec, pos_scores, neg_scores):

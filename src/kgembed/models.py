@@ -580,13 +580,13 @@ class RESCAL(Interaction):
         h = g.gather(P["entity"], _ids(h_ids))
         W = g.gather(P["relation"], _ids(r_ids))
         hw = g.einsum("bi,bij->bj", h, W)
-        return g.einsum("bj,ej->be", hw, P["entity"])
+        return hw @ P["entity"].T
 
     def score_heads(self, g, P, r_ids, t_ids):
         t = g.gather(P["entity"], _ids(t_ids))
         W = g.gather(P["relation"], _ids(r_ids))
         wt = g.einsum("bij,bj->bi", W, t)
-        return g.einsum("bi,ei->be", wt, P["entity"])
+        return wt @ P["entity"].T
 
 
 class DistMult(Interaction):
@@ -614,12 +614,12 @@ class DistMult(Interaction):
     def score_tails(self, g, P, h_ids, r_ids):
         h = g.gather(P["entity"], _ids(h_ids))
         r = g.gather(P["relation"], _ids(r_ids))
-        return g.einsum("bd,ed->be", h * r, P["entity"])
+        return (h * r) @ P["entity"].T
 
     def score_heads(self, g, P, r_ids, t_ids):
         r = g.gather(P["relation"], _ids(r_ids))
         t = g.gather(P["entity"], _ids(t_ids))
-        return g.einsum("bd,ed->be", t * r, P["entity"])
+        return (t * r) @ P["entity"].T
 
 
 class ComplEx(Interaction):
@@ -665,7 +665,7 @@ class ComplEx(Interaction):
         rr, ri = self._split(g, r)
         re = hr * rr - hi * ri
         im = hi * rr + hr * ri
-        return g.einsum("bd,ed->be", g.concat([re, im], axis=1), P["entity"])
+        return g.concat([re, im], axis=1) @ P["entity"].T
 
     def score_heads(self, g, P, r_ids, t_ids):
         r = g.gather(P["relation"], _ids(r_ids))
@@ -676,7 +676,7 @@ class ComplEx(Interaction):
         #                                    + h_im.(r_re t_im - r_im t_re)
         u = rr * tr + ri * ti
         v = rr * ti - ri * tr
-        return g.einsum("bd,ed->be", g.concat([u, v], axis=1), P["entity"])
+        return g.concat([u, v], axis=1) @ P["entity"].T
 
 
 class RotatE(Interaction):
@@ -783,8 +783,8 @@ class SimplE(Interaction):
         ht = g.gather(P["entity_t"], h_ids)
         r = g.gather(P["relation"], r_ids)
         ri = g.gather(P["relation_inv"], r_ids)
-        fwd = g.einsum("bd,ed->be", hh * r, P["entity_t"])
-        bwd = g.einsum("bd,ed->be", ht * ri, P["entity_h"])
+        fwd = (hh * r) @ P["entity_t"].T
+        bwd = (ht * ri) @ P["entity_h"].T
         return 0.5 * (fwd + bwd)
 
     def score_heads(self, g, P, r_ids, t_ids):
@@ -793,8 +793,8 @@ class SimplE(Interaction):
         tt = g.gather(P["entity_t"], t_ids)
         r = g.gather(P["relation"], r_ids)
         ri = g.gather(P["relation_inv"], r_ids)
-        fwd = g.einsum("bd,ed->be", tt * r, P["entity_h"])
-        bwd = g.einsum("bd,ed->be", th * ri, P["entity_t"])
+        fwd = (tt * r) @ P["entity_h"].T
+        bwd = (th * ri) @ P["entity_t"].T
         return 0.5 * (fwd + bwd)
 
 
@@ -844,7 +844,7 @@ class TuckER(Interaction):
 
     def score_tails(self, g, P, h_ids, r_ids):
         y = self._context(g, P, h_ids, r_ids)
-        return g.einsum("bd,ed->be", y, P["entity"])
+        return y @ P["entity"].T
 
     def score_heads(self, g, P, r_ids, t_ids):
         # score(h', r, t) = (scale0*h' + shift0) . m + shift1 . t
@@ -853,7 +853,7 @@ class TuckER(Interaction):
         t = g.gather(P["entity"], _ids(t_ids))
         m = g.einsum("pqe,be->bpq", P["core"], t * P["scale1"])
         m = g.einsum("bpq,bq->bp", m, r)
-        scores = g.einsum("ep,bp->be", P["entity"] * P["scale0"], m)
+        scores = m @ (P["entity"] * P["scale0"]).T
         const = g.einsum("p,bp->b", P["shift0"], m) + g.einsum("bd,d->b", t, P["shift1"])
         return scores + const.reshape((-1, 1))
 
@@ -891,7 +891,7 @@ class ProjE(Interaction):
 
     def score_tails(self, g, P, h_ids, r_ids):
         z = self._combined(g, P, h_ids, r_ids)
-        return g.sigmoid(g.einsum("bd,ed->be", z, P["entity"]) + P["b_project"][0])
+        return g.sigmoid(z @ P["entity"].T + P["b_project"][0])
 
 
 class HolE(Interaction):
@@ -925,13 +925,13 @@ class HolE(Interaction):
         h = g.gather(P["entity"], _ids(h_ids))
         r = g.gather(P["relation"], _ids(r_ids))
         conv = g.circcorr(g.reverse_roll(h), r)  # circular convolution of h and r
-        return g.sigmoid(g.einsum("bd,ed->be", conv, P["entity"]))
+        return g.sigmoid(conv @ P["entity"].T)
 
     def score_heads(self, g, P, r_ids, t_ids):
         r = g.gather(P["relation"], _ids(r_ids))
         t = g.gather(P["entity"], _ids(t_ids))
         corr = g.circcorr(r, t)
-        return g.sigmoid(g.einsum("bd,ed->be", corr, P["entity"]))
+        return g.sigmoid(corr @ P["entity"].T)
 
 
 class KG2E(Interaction):
@@ -1296,7 +1296,7 @@ class ConvE(Interaction):
 
     def score_tails(self, g, P, h_ids, r_ids):
         e = self._context(g, P, h_ids, r_ids)
-        return g.einsum("bd,ed->be", e, P["entity"]) + P["entity_bias"]
+        return e @ P["entity"].T + P["entity_bias"]
 
 
 _REGISTRY = {cls.kind: cls for cls in (

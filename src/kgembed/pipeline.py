@@ -31,7 +31,7 @@ from .losses import LossSpec, SLCWA_KINDS, LCWA_KINDS, KINDS as LOSS_KINDS
 from .models import (KINDS as MODEL_KINDS, InteractionSpec, build_interaction,
                      init_parameters, save_checkpoint)
 from .sampling import derive_seed
-from .training import OptimizerSpec, TrainingConfig, train
+from .training import OptimizerSpec, TrainingConfig, train, utc_timestamp
 
 log = logging.getLogger(__name__)
 
@@ -357,7 +357,7 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
     """
     out_dir = output_dir or os.environ.get("KGEMBED_OUTPUT_DIR") or cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    started = time.strftime("%Y-%m-%dT%H:%M:%S")
+    started = utc_timestamp()
     t0 = time.monotonic()
 
     store = load_store(cfg["dataset"])
@@ -419,7 +419,7 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
         },
         "timing": {
             "started": started,
-            "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "finished": utc_timestamp(),
             "train_seconds": round(train_seconds, 3),
             "evaluate_seconds": round(eval_seconds, 3),
         },

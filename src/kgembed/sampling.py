@@ -137,11 +137,19 @@ class LCWATask:
     def __len__(self):
         return self.pairs.shape[0]
 
-    def label_matrix(self, indices):
-        """Multi-hot {0,1} label rows for the given group indices."""
+    def label_matrix(self, indices, epsilon=0.0):
+        """Label rows for the given group indices, in one fresh array.
+
+        1 - epsilon at every observed tail and epsilon / (E - 1) elsewhere:
+        multi-hot {0, 1} rows at epsilon 0, and exactly smooth_labels of
+        those rows otherwise.
+        """
+        if not 0.0 <= epsilon < 1.0:
+            raise ValueError("label smoothing must be in [0, 1)")
         pairs = self.pairs[np.asarray(indices, dtype=np.intp)]
-        labels = np.zeros((pairs.shape[0], self.num_entities))
-        labels[self._index._pairs("tail", pairs[:, 0], pairs[:, 1])] = 1.0
+        labels = np.full((pairs.shape[0], self.num_entities),
+                         epsilon / (self.num_entities - 1) if epsilon > 0.0 else 0.0)
+        labels[self._index._pairs("tail", pairs[:, 0], pairs[:, 1])] = 1.0 - epsilon
         return labels
 
 
@@ -172,6 +180,7 @@ def lcwa_batches(task, batch_size, rng, epsilon=0.0, normalize=False):
     for start in range(0, len(task), batch_size):
         idx = order[start : start + batch_size]
         pairs = task.pairs[idx]
-        labels = task.label_matrix(idx)
-        labels = smooth_labels(labels, epsilon, task.num_entities, normalize=normalize)
+        labels = task.label_matrix(idx, epsilon)
+        if normalize:
+            labels /= labels.sum(axis=1, keepdims=True)  # every group has a tail
         yield pairs[:, 0], pairs[:, 1], labels

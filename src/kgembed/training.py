@@ -12,6 +12,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -23,6 +24,11 @@ from .sampling import NegativeSampler, LCWATask, slcwa_batches, lcwa_batches, rn
 log = logging.getLogger(__name__)
 
 APPROACHES = ("slcwa", "lcwa")
+
+
+def utc_timestamp():
+    """The current time as ISO 8601 in UTC, to the second: 2024-01-31T12:00:00+00:00."""
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 class DivergenceError(RuntimeError):
@@ -55,14 +61,25 @@ class OptimizerSpec:
         return cls(**doc)
 
 
+def _scratch(params):
+    """Two flat buffers big enough for any parameter tensor's update."""
+    return np.empty((2, max((v.size for v in params.values()), default=0)))
+
+
 class Adam:
-    """Adam with bias correction; state is dense per parameter tensor."""
+    """Adam with bias correction; state is dense per parameter tensor.
+
+    The update is computed in place through two scratch buffers, with the
+    same operations in the same order as the textbook expression
+    lr * (m / c1) / (sqrt(v / c2) + eps), so results are bit-identical to it.
+    """
 
     def __init__(self, spec, params):
         self.spec = spec
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        self._buf = _scratch(params)
 
     def step(self, params, grads):
         s = self.spec
@@ -72,32 +89,59 @@ class Adam:
         for k, g in grads.items():
             m = self.m[k]
             v = self.v[k]
+            a = self._buf[0, : g.size].reshape(g.shape)
+            b = self._buf[1, : g.size].reshape(g.shape)
+            np.multiply(g, 1.0 - s.beta1, out=a)
             m *= s.beta1
-            m += (1.0 - s.beta1) * g
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - s.beta2
             v *= s.beta2
-            v += (1.0 - s.beta2) * (g * g)
-            params[k] -= s.lr * (m / c1) / (np.sqrt(v / c2) + s.eps)
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += s.eps
+            np.divide(m, c1, out=b)
+            b *= s.lr
+            b /= a
+            params[k] -= b
 
 
 class Adadelta:
-    """Adadelta: running averages of squared gradients and squared updates."""
+    """Adadelta: running averages of squared gradients and squared updates.
+
+    Computed in place through two scratch buffers, bit-identical to the
+    expressions delta = sqrt((acc + eps) / (sq + eps)) * g and lr * delta.
+    """
 
     def __init__(self, spec, params):
         self.spec = spec
         self.sq_grad = {k: np.zeros_like(v) for k, v in params.items()}
         self.sq_delta = {k: np.zeros_like(v) for k, v in params.items()}
+        self._buf = _scratch(params)
 
     def step(self, params, grads):
         s = self.spec
         for k, g in grads.items():
             sq = self.sq_grad[k]
             acc = self.sq_delta[k]
+            delta = self._buf[0, : g.size].reshape(g.shape)
+            b = self._buf[1, : g.size].reshape(g.shape)
+            np.multiply(g, g, out=b)
+            b *= 1.0 - s.rho
             sq *= s.rho
-            sq += (1.0 - s.rho) * (g * g)
-            delta = np.sqrt((acc + s.eps) / (sq + s.eps)) * g
+            sq += b
+            np.add(acc, s.eps, out=delta)
+            np.add(sq, s.eps, out=b)
+            delta /= b
+            np.sqrt(delta, out=delta)
+            delta *= g
+            np.multiply(delta, delta, out=b)
+            b *= 1.0 - s.rho
             acc *= s.rho
-            acc += (1.0 - s.rho) * (delta * delta)
-            params[k] -= s.lr * delta
+            acc += b
+            delta *= s.lr
+            params[k] -= delta
 
 
 def make_optimizer(spec, params):
@@ -254,7 +298,7 @@ def train(model, params, store, config, evaluate_fn=None, trace_path=None,
     evaluate_fn(params) -> float is called on the schedule in `config`; when
     provided, the result carries the best-checkpoint parameters, otherwise
     the final ones. The trace is one JSON-able record per epoch:
-    {"epoch", "loss", "metric", "timestamp"}.
+    {"epoch", "loss", "metric", "timestamp"}, the timestamp ISO 8601 in UTC.
 
     deadline is a time.monotonic() timestamp; once an epoch finishes past
     it, training stops at that boundary (an epoch is never cut short).
@@ -295,7 +339,7 @@ def train(model, params, store, config, evaluate_fn=None, trace_path=None,
                 "epoch": epoch,
                 "loss": loss,
                 "metric": metric,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "timestamp": utc_timestamp(),
             }
             trace.append(record)
             if trace_file:

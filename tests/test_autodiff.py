@@ -291,6 +291,62 @@ def test_sum_over_paths_accumulation():
     assert np.allclose(x.grad, [8.0, 12.0])
 
 
+@pytest.mark.parametrize("add_last", [False, True])
+def test_in_place_accumulation_leaves_shared_gradients_alone(add_last):
+    # add hands one g to both parents; x gets four contributions, the last
+    # two accumulated in place into a buffer the sweep allocated. The sweep
+    # runs in reverse construction order, so with add_last the shared g
+    # arrives first
+    g = Graph()
+    x = g.leaf([2.0, 3.0])
+    if add_last:
+        w = x * x
+        z = x + x
+    else:
+        z = x + x
+        w = x * x
+    loss = z.sum() + w.sum()
+    g.backward(loss)
+    assert np.array_equal(x.grad, 2.0 + 2.0 * np.array([2.0, 3.0]))
+    assert np.array_equal(z.grad, [1.0, 1.0])
+    assert np.array_equal(w.grad, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("add_last", [False, True])
+def test_in_place_accumulation_with_a_parent_on_two_paths(add_last):
+    # a feeds a + b and two other paths; b's gradient is the very array a
+    # receives from the add, so accumulating into a must not write into it
+    rng = rng_seq(14)
+    av, bv = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    g = Graph()
+    a, b = g.leaf(av), g.leaf(bv)
+    if not add_last:
+        c = a + b
+    d = g.tanh(a) * 3.0
+    e = g.exp(a)
+    if add_last:
+        c = a + b
+    loss = (c * c).sum() + d.sum() + e.sum()
+    g.backward(loss)
+    grad_c = 2.0 * (av + bv)
+    assert np.allclose(b.grad, grad_c, rtol=0, atol=1e-14)
+    assert np.allclose(c.grad, grad_c, rtol=0, atol=1e-14)
+    want_a = grad_c + 3.0 * (1.0 - np.tanh(av) ** 2) + np.exp(av)
+    assert np.allclose(a.grad, want_a, rtol=0, atol=1e-12)
+
+
+def test_in_place_accumulation_after_a_view_gradient():
+    # reshape's VJP returns a view of y.grad; the copy x keeps is its own
+    g = Graph()
+    x = g.leaf(np.arange(4.0).reshape(2, 2))
+    c = np.array([1.0, -2.0, 0.5, 4.0])
+    y = x.reshape((4,))
+    loss = (y * c).sum() + (x * x).sum() + (x * 5.0).sum()
+    g.backward(loss)
+    assert np.array_equal(y.grad, c)
+    assert np.array_equal(x.grad, c.reshape(2, 2) + 2.0 * x.value + 5.0)
+
+
 def test_gather_accumulates_duplicate_rows():
     g = Graph()
     a = g.leaf(np.arange(6.0).reshape(3, 2))
@@ -402,3 +458,75 @@ def test_node_outliving_its_graph():
     assert x.grad[0] == 4.0
     with pytest.raises(ReferenceError):
         _ = y * 2.0
+
+
+# ---------------------------------------------------------------------------
+# fused softmax cross entropy
+# ---------------------------------------------------------------------------
+
+def _xent_rows(rng, kind, shape):
+    B, E = shape
+    if kind == "hard":
+        return np.eye(E)[rng.integers(0, E, size=B)]
+    hot = (rng.random(shape) < 0.3).astype(float)
+    hot[:, 0] = 1.0
+    if kind == "normalized":
+        return hot / hot.sum(axis=1, keepdims=True)
+    eps = 0.1  # smoothed as in 1-N training, then normalized
+    smooth = hot * (1.0 - eps) + (1.0 - hot) * (eps / (E - 1))
+    return smooth / smooth.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["hard", "smoothed", "normalized"])
+def test_softmax_xent_equals_logsumexp_minus_dot(kind):
+    rng = rng_seq(15)
+    scores = rng.normal(0, 3, size=(6, 9))
+    labels = _xent_rows(rng, kind, scores.shape)
+
+    g = Graph()
+    x = g.leaf(scores)
+    fused = g.softmax_xent(x, labels).mean()
+    g.backward(fused)
+
+    g2 = Graph()
+    x2 = g2.leaf(scores)
+    unfused = (g2.logsumexp(x2, axis=1) - (g2.constant(labels) * x2).sum(axis=1)).mean()
+    g2.backward(unfused)
+
+    assert abs(fused.value - unfused.value) <= 1e-12
+    assert np.max(np.abs(x.grad - x2.grad)) <= 1e-12
+
+
+def test_softmax_xent_finite_differences():
+    rng = rng_seq(16)
+    labels = _xent_rows(rng, "smoothed", (4, 7))
+    err = finite_difference_check(
+        lambda g, x: (g.softmax_xent(x, labels) * np.arange(1.0, 5.0)).sum(),
+        [rng.normal(0, 2, size=(4, 7))])
+    assert err <= 1e-4
+
+
+def test_softmax_xent_stays_finite_at_extreme_scores():
+    rng = rng_seq(17)
+    labels = _xent_rows(rng, "normalized", (3, 5))
+    scores = np.array([[1e3, -1e3, 0.0, 1e3, -1e3]] * 3)
+    g = Graph()
+    x = g.leaf(scores)
+    loss = g.softmax_xent(x, labels).mean()
+    g.backward(loss)
+    m = scores.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
+    want = np.mean(lse - (labels * scores).sum(axis=1))
+    assert np.isfinite(loss.value) and np.all(np.isfinite(x.grad))
+    assert loss.value == pytest.approx(want, rel=1e-12)
+    softmax = np.exp(scores - lse[:, None])
+    assert np.allclose(x.grad, (softmax - labels) / 3, rtol=0, atol=1e-15)
+
+
+def test_softmax_xent_rejects_mismatched_operands():
+    g = Graph()
+    x = g.leaf(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="same shape"):
+        g.softmax_xent(x, np.ones((2, 4)) / 4)
+    with pytest.raises(ValueError, match="same shape"):
+        g.softmax_xent(g.leaf(np.zeros(3)), np.ones(3) / 3)

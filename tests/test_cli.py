@@ -413,6 +413,18 @@ def test_hpo_bad_space_value_exits_2(workspace, tmp_path, capsys):
     assert "study.space" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+def test_hpo_bad_threads_env_exits_2(workspace, tmp_path, capsys, monkeypatch, value):
+    out = tmp_path / "o"
+    p = tmp_path / "study.json"
+    p.write_text(json.dumps(study_doc(workspace["data"], out)))
+    monkeypatch.setenv("KGEMBED_THREADS", value)
+    assert main(["hpo", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: KGEMBED_THREADS: expected a positive integer, got {value!r}" in err
+    assert not out.exists()  # rejected before any output is written
+
+
 def test_hpo_all_trials_failing_exits_4(workspace, tmp_path, capsys):
     doc = study_doc(workspace["data"], tmp_path / "o")
     doc["space"]["embedding_dims"] = [0]

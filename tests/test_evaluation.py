@@ -255,6 +255,47 @@ def test_validation_callback_returns_selected_metric():
     assert cb(params) == pytest.approx(want)
 
 
+def test_given_filter_index_is_used_and_matches_a_fresh_build():
+    rng = np.random.default_rng(11)
+    store = make_store(rng, 8, 2, n_train=30, n_eval=10)
+    model, params = int_model(rng, 8, 2)
+    fresh = compute_ranks(model, params, store, split="test")
+    shared = compute_ranks(model, params, store, split="test",
+                           filter_index=FilterIndex(store))
+    for side in ("head", "tail"):
+        for name in ("optimistic", "pessimistic", "candidates"):
+            assert np.array_equal(getattr(fresh.sides[side], name),
+                                  getattr(shared.sides[side], name))
+    # the given index wins over filter_splits: a train-only index filters less
+    train_only = compute_ranks(model, params, store, split="test",
+                               filter_index=FilterIndex(store, splits=("train",)))
+    want = compute_ranks(model, params, store, split="test", filter_splits=("train",))
+    assert np.array_equal(train_only.sides["tail"].candidates,
+                          want.sides["tail"].candidates)
+
+
+def test_validation_callback_builds_its_filter_index_once(monkeypatch):
+    import kgembed.evaluation as evaluation
+
+    builds = []
+
+    class Counting(FilterIndex):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "FilterIndex", Counting)
+    rng = np.random.default_rng(12)
+    store = make_store(rng, 6, 2)
+    model, params = int_model(rng, 6, 2)
+    cb = make_validation_callback(model, store)
+    assert builds == []  # built by the first call, not up front
+    values = [cb(params) for _ in range(3)]
+    assert len(builds) == 1
+    assert values == [compute_ranks(model, params, store, split="valid").get()] * 3
+    assert len(builds) == 2  # the direct call builds its own
+
+
 def test_untrained_unfiltered_amr_sits_near_one():
     # with random embeddings the mean rank should be near its chance level;
     # lots of triples keep the Monte Carlo noise small

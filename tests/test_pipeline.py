@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -241,6 +242,21 @@ def test_execute_run_writes_all_artifacts(data_dir, tmp_path):
     assert result["versions"]["numpy"] == np.__version__
     for p in result["paths"].values():
         assert os.path.isabs(p) and os.path.exists(p)
+
+
+def test_run_timestamps_are_utc_iso(data_dir, tmp_path):
+    out = tmp_path / "run"
+    result = execute_run(normalize_config(small_run_doc(data_dir, out)))
+    on_disk = json.loads((out / "result.json").read_text())
+    trace = (out / "trace.jsonl").read_text().splitlines()
+    stamps = ([on_disk["timing"]["started"]]
+              + [json.loads(line)["timestamp"] for line in trace]
+              + [on_disk["timing"]["finished"]])
+    assert on_disk["timing"] == result["timing"]
+    parsed = [datetime.fromisoformat(s) for s in stamps]
+    for when in parsed:
+        assert when.utcoffset() == timedelta(0)
+    assert parsed == sorted(parsed)
 
 
 def test_execute_run_is_deterministic(data_dir, tmp_path):

@@ -307,6 +307,31 @@ def test_smooth_labels_normalize_for_cross_entropy():
         smooth_labels(np.zeros((1, 3)), 0.0, 3, normalize=True)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.2])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_smooth_labels_leaves_its_argument_unchanged(epsilon, normalize):
+    labels = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    kept = labels.copy()
+    smooth_labels(labels, epsilon, 3, normalize=normalize)
+    assert np.array_equal(labels, kept)
+
+
+def test_lcwa_batches_equal_smoothing_the_label_matrix():
+    # the batches build smoothed rows directly and normalize them in place;
+    # the values must be exactly those of smooth_labels on the multi-hot rows
+    task = LCWATask(toy_store())
+    for epsilon, normalize in ((0.0, False), (0.1, False), (0.1, True), (0.0, True)):
+        rng = np.random.default_rng(4)
+        order = np.random.default_rng(4).permutation(len(task))
+        for start, (h, r, labels) in zip(range(0, len(task), 2),
+                                          lcwa_batches(task, 2, rng, epsilon, normalize)):
+            idx = order[start : start + 2]
+            assert np.array_equal(np.stack([h, r], axis=1), task.pairs[idx])
+            want = smooth_labels(task.label_matrix(idx), epsilon, task.num_entities,
+                                 normalize=normalize)
+            assert np.array_equal(labels, want)
+
+
 def test_smooth_labels_range_check():
     with pytest.raises(ValueError, match="label smoothing"):
         smooth_labels(np.ones((1, 2)), 1.0, 2)

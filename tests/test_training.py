@@ -94,6 +94,58 @@ def test_adadelta_first_step_closed_form():
     assert np.allclose(opt.sq_delta["w"], 0.05 * delta * delta, atol=1e-15)
 
 
+def _textbook_adam(spec, params, grads_per_step):
+    # the update rule written as plain expressions, one temporary per operation
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(x) for k, x in params.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1 = 1.0 - spec.beta1 ** t
+        c2 = 1.0 - spec.beta2 ** t
+        for k, g in grads.items():
+            m[k] = spec.beta1 * m[k] + (1.0 - spec.beta1) * g
+            v[k] = spec.beta2 * v[k] + (1.0 - spec.beta2) * (g * g)
+            params[k] = params[k] - spec.lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + spec.eps)
+    return params
+
+
+def _textbook_adadelta(spec, params, grads_per_step):
+    sq = {k: np.zeros_like(v) for k, v in params.items()}
+    acc = {k: np.zeros_like(v) for k, v in params.items()}
+    for grads in grads_per_step:
+        for k, g in grads.items():
+            sq[k] = spec.rho * sq[k] + (1.0 - spec.rho) * (g * g)
+            delta = np.sqrt((acc[k] + spec.eps) / (sq[k] + spec.eps)) * g
+            acc[k] = spec.rho * acc[k] + (1.0 - spec.rho) * (delta * delta)
+            params[k] = params[k] - spec.lr * delta
+    return params
+
+
+@pytest.mark.parametrize("kind", ["adam", "adadelta"])
+def test_in_place_optimizers_are_bit_identical_to_the_formulas(kind):
+    rng = np.random.default_rng(3)
+    spec = OptimizerSpec(kind=kind, lr=0.05)
+    start = {"big": rng.normal(size=(7, 5)), "small": rng.normal(size=(3,)),
+             "frozen": rng.normal(size=(2, 2))}
+    # tensors of different sizes share the scratch buffers; "frozen" never
+    # has a gradient and the sparse-looking rows of "big" stay exactly zero
+    grads_per_step = []
+    for _ in range(5):
+        big = rng.normal(size=(7, 5))
+        big[rng.random(7) < 0.4] = 0.0
+        grads_per_step.append({"big": big, "small": rng.normal(size=(3,)) * 1e-3})
+    want = (_textbook_adam if kind == "adam" else _textbook_adadelta)(
+        spec, {k: v.copy() for k, v in start.items()}, grads_per_step)
+    params = {k: v.copy() for k, v in start.items()}
+    opt = make_optimizer(spec, params)
+    for grads in grads_per_step:
+        kept = {k: g.copy() for k, g in grads.items()}
+        opt.step(params, grads)
+        for k in grads:
+            assert np.array_equal(grads[k], kept[k])  # gradients are read only
+    for k in start:
+        assert np.array_equal(params[k], want[k]), k
+
+
 def test_make_optimizer_dispatch():
     params = {"w": np.zeros(2)}
     assert isinstance(make_optimizer(OptimizerSpec(kind="adam"), params), Adam)
@@ -177,6 +229,37 @@ def test_lcwa_epoch_decreases_loss():
         for _ in range(15)
     ]
     assert losses[-1] < losses[0]
+
+
+def test_lcwa_cel_step_allocation_budget():
+    # one distmult/cel 1-N step with label smoothing, B=256 and E=600, must
+    # allocate at most five (B, E) float64 arrays' worth above its baseline:
+    # the labels, the scores, the softmax temporary, the score gradient and
+    # the (E, d) tables' gradients
+    import tracemalloc
+
+    from kgembed.sampling import LCWATask
+
+    E, B = 600, 256
+    train = [(f"e{h}", "r", f"e{(h * 7 + k) % E}") for h in range(B) for k in (1, 2, 3)]
+    train += [(f"e{e % B}", "r", f"e{e}") for e in range(B, E)]
+    store = TripleStore.from_labeled_triples(train)
+    task = LCWATask(store)
+    assert (store.num_entities, len(task)) == (E, B)  # one epoch is one step
+    _, model, params = toy_model(d=64, store=store)
+    config = TrainingConfig(approach="lcwa", loss=LossSpec("cel"), label_smoothing=0.1,
+                            batch_size=B)
+    opt = make_optimizer(config.optimizer, params)
+    rng = rng_for(0, "training")
+    train_epoch(model, params, store, config, opt, rng, task=task)  # warm up
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        train_epoch(model, params, store, config, opt, rng, task=task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 5 * B * E * 8, (peak - baseline) / (B * E * 8)
 
 
 def test_epoch_raises_when_everything_diverged():
