@@ -61,22 +61,10 @@ def _softplus(x):
 def _circcorr(a, b):
     """Circular correlation along the last axis: out_i = sum_k a_k * b_{(i+k) mod d}.
 
-    Computed by direct summation (d shifted products), no FFT.
+    Computed in O(d log d) by the correlation theorem, as
+    irfft(conj(rfft(a)) * rfft(b)); operands broadcast over leading axes.
     """
-    d = a.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
-    for k in range(d):
-        out += a[..., k : k + 1] * np.roll(b, -k, axis=-1)
-    return out
-
-
-def _circconv(a, b):
-    """Circular convolution along the last axis: out_j = sum_i a_i * b_{(j-i) mod d}."""
-    d = a.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
-    for i in range(d):
-        out += a[..., i : i + 1] * np.roll(b, i, axis=-1)
-    return out
+    return np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(b), n=a.shape[-1])
 
 
 def _windows(x, kr, kc):
@@ -238,9 +226,10 @@ def _vjp_slice(g, node, a):
 
 
 def _vjp_gather(g, node, a):
-    out = np.zeros_like(a)
-    np.add.at(out, node.attrs["indices"], g)  # indices may repeat
-    return (out,)
+    w = int(np.prod(a.shape[1:]))  # elements per table row, one bin each
+    bins = (node.attrs["indices"].reshape(-1, 1) * w + np.arange(w)).reshape(-1)
+    # bincount sums each bin in input order, as np.add.at does: bit-identical
+    return (np.bincount(bins, weights=g.reshape(-1), minlength=a.size).reshape(a.shape),)
 
 
 def _expand_reduced(g, x_shape, axis, keepdims):
@@ -339,7 +328,7 @@ _VJP = {
     "cos": lambda g, node, a: (-g * np.sin(a),),
     "circcorr": lambda g, node, a, b: (
         _unbroadcast(_circcorr(g, b), a.shape),
-        _unbroadcast(_circconv(g, a), b.shape),
+        _unbroadcast(_circcorr(_rev_mod(g), a), b.shape),  # the convolution of g and a
     ),
     "reverse_roll": lambda g, node, a: (_rev_mod(g),),  # the index map is an involution
     "conv2d": _vjp_conv2d,
@@ -503,6 +492,7 @@ class Graph:
         return self.apply("concat", *nodes, axis=axis)
 
     def gather(self, a, indices):
+        """Rows `indices` of `a` along axis 0; ids are non-negative and may repeat."""
         return self.apply("gather", a, indices=indices)
 
     def pnorm(self, a, p=2, axis=None, keepdims=False):

@@ -213,16 +213,17 @@ def add_inverse_relations(store):
     )
 
 
-def relation_stats(store):
+def relation_stats(store, index=None):
     """Per-relation mean tails-per-head and heads-per-tail on the train split.
 
     Returns (tph, hpt) as float arrays of length num_relations, counted over
     the distinct training triples. Relations absent from the training split
     fall back to tph = hpt = 1, which makes the Bernoulli corruption
-    probability an even split.
+    probability an even split. A given training-split `index` is reused.
     """
     R, E = store.num_relations, store.num_entities
-    index = FilterIndex(store, splits=("train",))
+    if index is None:
+        index = FilterIndex(store, splits=("train",))
     # tail keys // E are the (h, r) prefixes h·R + r; head keys // E are r·E + t
     triples = np.bincount(index.tail_keys // E % R, minlength=R)
     heads = np.bincount(np.unique(index.tail_keys // E) % R, minlength=R)

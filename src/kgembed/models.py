@@ -897,8 +897,9 @@ class ProjE(Interaction):
 class HolE(Interaction):
     """Holographic embeddings: sigmoid(r . circcorr(h, t)).
 
-    The all-tails and all-heads paths use the correlation identities
-    r.(h*t) = t.conv(h, r) = h.corr(r, t), keeping 1-N scoring a matmul.
+    The correlation is an FFT product, O(d log d). The all-tails and all-heads
+    paths use the identities r.(h*t) = t.conv(h, r) = h.corr(r, t), keeping
+    1-N scoring a matmul.
     """
 
     kind = "hole"
@@ -1144,7 +1145,9 @@ class NTN(Interaction):
 
 class ConvKB(Interaction):
     """Row-wise 1x3 convolutions over the stacked triple matrix [h; r; t],
-    relu feature maps, then a shared linear readout."""
+    relu feature maps, then a shared linear readout. The filters map each
+    column [h_i; r_i; t_i] to tau features: a batch's maps are one
+    (B·d, 3) @ (3, tau) matmul, and the readout a second one."""
 
     kind = "convkb"
 
@@ -1168,57 +1171,41 @@ class ConvKB(Interaction):
             + 1
         )
 
-    def _filter_cols(self, g, P):
-        F = P["filters"]
-        return (
-            g.apply("slice", F, key=(slice(None), 0)),
-            g.apply("slice", F, key=(slice(None), 1)),
-            g.apply("slice", F, key=(slice(None), 2)),
-        )
+    def _maps(self, g, rows, filters):
+        """(n, d, tau) filter responses of the columns stacked from the (n, d)
+        `rows`, against the matching (tau, len(rows)) filter columns."""
+        n, d = rows[0].shape
+        cols = g.concat([x.reshape((n * d, 1)) for x in rows], axis=1)
+        return (cols @ filters.T).reshape((n, d, self.spec.tau))
+
+    def _readout(self, g, P, x):
+        """Bias, relu and the linear readout of (..., d, tau) pre-activations."""
+        width = self.spec.d_e * self.spec.tau
+        act = g.relu(x + P["filter_bias"])
+        flat = act.reshape((-1, width)) @ P["w_out"].T.reshape((width, 1))
+        return flat.reshape(act.shape[:-2]) + P["b_out"][0]
 
     def score_triples(self, g, P, h_ids, r_ids, t_ids):
         h = g.gather(P["entity"], _ids(h_ids))
         r = g.gather(P["relation"], _ids(r_ids))
         t = g.gather(P["entity"], _ids(t_ids))
-        f0, f1, f2 = self._filter_cols(g, P)
-        x = (
-            g.einsum("bd,f->bfd", h, f0)
-            + g.einsum("bd,f->bfd", r, f1)
-            + g.einsum("bd,f->bfd", t, f2)
-            + P["filter_bias"].reshape((1, self.spec.tau, 1))
-        )
-        act = g.relu(x)
-        return g.einsum("bfd,fd->b", act, P["w_out"]) + P["b_out"][0]
+        return self._readout(g, P, self._maps(g, [h, r, t], P["filters"]))
 
     def score_tails(self, g, P, h_ids, r_ids):
         h = g.gather(P["entity"], _ids(h_ids))
         r = g.gather(P["relation"], _ids(r_ids))
-        f0, f1, f2 = self._filter_cols(g, P)
-        tau = self.spec.tau
-        base = (
-            g.einsum("bd,f->bfd", h, f0)
-            + g.einsum("bd,f->bfd", r, f1)
-            + P["filter_bias"].reshape((1, tau, 1))
-        )
-        B = base.shape[0]
-        x = base.reshape((B, 1, tau, self.spec.d_e)) + g.einsum("ed,f->efd", P["entity"], f2)
-        act = g.relu(x)
-        return g.einsum("befd,fd->be", act, P["w_out"]) + P["b_out"][0]
+        F = P["filters"]
+        base = self._maps(g, [h, r], F[:, :2])
+        tails = self._maps(g, [P["entity"]], F[:, 2:])
+        return self._readout(g, P, base.reshape((-1, 1) + tails.shape[1:]) + tails)
 
     def score_heads(self, g, P, r_ids, t_ids):
         r = g.gather(P["relation"], _ids(r_ids))
         t = g.gather(P["entity"], _ids(t_ids))
-        f0, f1, f2 = self._filter_cols(g, P)
-        tau = self.spec.tau
-        base = (
-            g.einsum("bd,f->bfd", r, f1)
-            + g.einsum("bd,f->bfd", t, f2)
-            + P["filter_bias"].reshape((1, tau, 1))
-        )
-        B = base.shape[0]
-        x = base.reshape((B, 1, tau, self.spec.d_e)) + g.einsum("ed,f->efd", P["entity"], f0)
-        act = g.relu(x)
-        return g.einsum("befd,fd->be", act, P["w_out"]) + P["b_out"][0]
+        F = P["filters"]
+        base = self._maps(g, [r, t], F[:, 1:])
+        heads = self._maps(g, [P["entity"]], F[:, :1])
+        return self._readout(g, P, base.reshape((-1, 1) + heads.shape[1:]) + heads)
 
 
 class ConvE(Interaction):
@@ -1348,18 +1335,36 @@ def save_checkpoint(path, spec, params, extra=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (spec, params, extra)."""
+    """Read a checkpoint; returns (spec, params, extra).
+
+    Raises ValueError on a foreign or truncated file, trailing bytes, a
+    malformed header or spec, or tensors other than the spec's model has.
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        data = f.read()
+    if data[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    try:
+        (hlen,) = struct.unpack_from("<I", data, 4)
+        offset = 8 + hlen
+        if len(data) < offset:
+            raise ValueError(f"{path}: header has {len(data) - 8} of its {hlen} bytes")
+        header = json.loads(data[8:offset].decode("utf-8"))
+        spec = InteractionSpec.from_dict(header["spec"])
+        extra = header.get("extra", {})
+        tensors = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        wanted = [(name, shape) for name, shape, _ in build_interaction(spec).tensor_specs()]
+        if sorted(tensors) != sorted(wanted) or not isinstance(extra, dict):
+            raise ValueError(f"{path}: header does not describe a {spec.kind} checkpoint")
+        sizes = [int(np.prod(shape)) for _, shape in tensors]
+        if len(data) != offset + 8 * sum(sizes):
+            raise ValueError(f"{path}: {len(data) - offset} tensor bytes, the header needs "
+                             f"{8 * sum(sizes)}")
         params = {}
-        for tensor in header["tensors"]:
-            shape = tuple(tensor["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
-            params[tensor["name"]] = np.ascontiguousarray(data, dtype=np.float64)
-    spec = InteractionSpec.from_dict(header["spec"])
-    return spec, params, header.get("extra", {})
+        for (name, shape), n in zip(tensors, sizes):
+            values = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
+            params[name] = values.astype(np.float64).reshape(shape)
+            offset += 8 * n
+    except (KeyError, TypeError, AttributeError, struct.error) as e:
+        raise ValueError(f"{path}: malformed header: {e}") from e
+    return spec, params, extra

@@ -40,7 +40,8 @@ class NegativeSampler:
     With filtered=True, negatives that collide with known true triples are
     redrawn for up to MAX_REDRAWS rounds (default off: the occasional false
     negative is part of the training signal); residual_false_negatives
-    counts the known triples returned anyway, over all calls.
+    counts the known triples returned anyway, over all calls. The
+    training-split filter_index also serves the Bernoulli statistics.
     """
 
     MAX_REDRAWS = 20
@@ -56,7 +57,7 @@ class NegativeSampler:
         if filtered and filter_index is None:
             raise ValueError("filtered sampling needs a filter index")
         if kind == "bernoulli":
-            tph, hpt = relation_stats(store)
+            tph, hpt = relation_stats(store, index=filter_index)
             self.head_prob = tph / (tph + hpt)
         else:
             self.head_prob = None

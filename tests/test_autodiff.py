@@ -124,19 +124,37 @@ def test_matmul_requires_2d():
         _ = a @ b
 
 
+def _sum_to(x, shape):
+    """Sum a broadcast result back down to `shape`."""
+    lead = x.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and x.shape[lead + i] != 1)
+    return np.sum(x, axis=axes, keepdims=True).reshape(shape)
+
+
 def test_circcorr_matches_quadratic_oracle():
+    # value and both gradients; out_i = sum_k a_k b_{(i+k) mod d}, summed term
+    # by term through an index table
     rng = rng_seq(5)
-    for _ in range(10):
-        d = int(rng.integers(2, 9))
-        a = rng.normal(size=(3, d))
-        b = rng.normal(size=(3, d))
-        want = np.empty((3, d))
-        for i in range(3):
-            for k in range(d):
-                want[i, k] = sum(a[i, j] * b[i, (j + k) % d] for j in range(d))
-        g = Graph()
-        got = g.circcorr(g.leaf(a), g.leaf(b)).value
-        assert np.allclose(got, want)
+    for d in (1, 2, 3, 4, 5, 6, 7, 8, 9, 64):
+        shift = (np.arange(d)[:, None] + np.arange(d)) % d          # [i, k] -> (i+k) mod d
+        onehot = (shift[..., None] == np.arange(d)).astype(float)   # [i, k, j]
+        for a_shape, b_shape in [((3, d), (3, d)), ((d,), (5, d)),
+                                 ((3, 1, d), (1, 4, d)), ((2, 3, d), (3, d))]:
+            a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+            want = np.einsum("...k,...ik->...i", a, b[..., shift])
+            c = rng.normal(size=want.shape)
+            g = Graph()
+            la, lb = g.leaf(a), g.leaf(b)
+            out = g.circcorr(la, lb)
+            g.backward((out * c).sum())
+            assert out.shape == want.shape
+            assert np.max(np.abs(out.value - want)) <= 1e-12
+            b_full, a_full = np.broadcast_to(b, want.shape), np.broadcast_to(a, want.shape)
+            ga = _sum_to(np.einsum("...i,...ik->...k", c, b_full[..., shift]), a_shape)
+            gb = _sum_to(np.einsum("...i,...k,ikj->...j", c, a_full, onehot), b_shape)
+            assert np.max(np.abs(la.grad - ga)) <= 1e-12
+            assert np.max(np.abs(lb.grad - gb)) <= 1e-12
 
 
 def test_reverse_roll_turns_correlation_into_convolution():
@@ -353,6 +371,22 @@ def test_gather_accumulates_duplicate_rows():
     loss = g.gather(a, [0, 0, 2]).sum()
     g.backward(loss)
     assert np.allclose(a.grad, [[2, 2], [0, 0], [1, 1]])
+    # equal bit for bit to np.add.at into zeros, on repeated, unsorted,
+    # empty and 2-D index arrays
+    rng = rng_seq(21)
+    for shape in [(9,), (9, 5), (6, 4, 4), (1, 3)]:
+        n = shape[0]
+        for idx in [rng.integers(0, n, size=40), np.sort(rng.integers(0, n, size=7))[::-1],
+                    np.zeros(0, dtype=int), rng.integers(0, n, size=(5, 3)),
+                    np.full(11, n - 1)]:
+            g = Graph()
+            a = g.leaf(rng.normal(size=shape))
+            rows = g.gather(a, idx)
+            c = rng.normal(size=rows.shape)
+            g.backward((rows * c).sum())
+            want = np.zeros(shape)
+            np.add.at(want, idx, c)
+            assert np.array_equal(a.grad, want)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import struct
 import subprocess
 import sys
 
@@ -302,6 +303,21 @@ def test_evaluate_foreign_file_exits_3(workspace, tmp_path, capsys):
     fake.write_bytes(b"PK\x03\x04 definitely not a checkpoint")
     assert main(["evaluate", str(fake), "--data", str(workspace["data"])]) == 3
     assert "cannot load checkpoint" in capsys.readouterr().err
+
+
+def test_evaluate_malformed_checkpoint_exits_3(workspace, tmp_path, capsys):
+    whole = workspace["checkpoint"].read_bytes()
+    bad = tmp_path / "bad.kge"
+    (hlen,) = struct.unpack_from("<I", whole, 4)
+    header = json.loads(whole[8 : 8 + hlen])
+    header["spec"]["colour"] = "blue"
+    blob = json.dumps(header).encode("utf-8")
+    cases = [whole[:size] for size in range(len(whole))]
+    cases += [whole + b"\0", whole[:4] + struct.pack("<I", len(blob)) + blob + whole[8 + hlen :]]
+    for data in cases:
+        bad.write_bytes(data)
+        assert main(["evaluate", str(bad), "--data", str(workspace["data"])]) == 3
+        assert "cannot load checkpoint" in capsys.readouterr().err
 
 
 def test_evaluate_entity_mismatch_exits_3(workspace, tmp_path, capsys):

@@ -217,6 +217,9 @@ def test_relation_stats_matches_direct_count_on_random_stores():
                 continue
             assert tph[r] == pytest.approx(sub.shape[0] / len(set(sub[:, 0])))
             assert hpt[r] == pytest.approx(sub.shape[0] / len(set(sub[:, 2])))
+        # a given training-split index gives the same counts
+        given = relation_stats(s, index=FilterIndex(s, splits=("train",)))
+        assert np.array_equal(given[0], tph) and np.array_equal(given[1], hpt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Interaction models: hand values, numpy oracles, 1-N vs scalar agreement,
 finite-difference gradients, parameter counts, initialization, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -324,21 +327,26 @@ def test_ntn_matches_formula():
 
 
 def test_convkb_matches_formula():
-    spec, model, params = make("convkb")
+    # the feature maps as the sum of three filter-column outer products, on
+    # random parameters (nonzero biases) and a batch of triples
+    spec, model, _ = make("convkb", d_e=16, tau=32, num_entities=30, num_relations=5)
     rng = np.random.default_rng(10)
-    for _ in range(5):
-        h, t = rng.integers(0, spec.num_entities, 2)
-        r = rng.integers(0, spec.num_relations)
-        F = params["filters"]
+    params = {name: rng.normal(size=shape) for name, shape, _ in model.tensor_specs()}
+    h, t = rng.integers(0, spec.num_entities, size=(2, 64))
+    r = rng.integers(0, spec.num_relations, size=64)
+    F = params["filters"]
+    want = np.empty(64)
+    for i in range(64):
         x = (
-            np.outer(F[:, 0], params["entity"][h])
-            + np.outer(F[:, 1], params["relation"][r])
-            + np.outer(F[:, 2], params["entity"][t])
+            np.outer(F[:, 0], params["entity"][h[i]])
+            + np.outer(F[:, 1], params["relation"][r[i]])
+            + np.outer(F[:, 2], params["entity"][t[i]])
             + params["filter_bias"][:, None]
         )
-        act = np.maximum(x, 0.0)
-        want = np.sum(act * params["w_out"]) + params["b_out"][0]
-        assert model.score(params, h, r, t) == pytest.approx(want)
+        want[i] = np.sum(np.maximum(x, 0.0) * params["w_out"]) + params["b_out"][0]
+    got = model.score_batch(params, np.stack([h, r, t], axis=1))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert model.score(params, h[0], r[0], t[0]) == pytest.approx(want[0], abs=1e-12)
 
 
 def test_conve_matches_numpy_pipeline():
@@ -615,3 +623,42 @@ def test_checkpoint_handles_scalar_shaped_tensors(tmp_path):
     assert extra == {}
     assert params2["b_project"].shape == (1,)
     assert np.array_equal(params2["b_project"], params["b_project"])
+
+
+def _rewrite_header(path, edit):
+    """Rewrite a checkpoint's JSON header through `edit`, keeping the tensors."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, 4)
+    header = json.loads(data[8 : 8 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob + data[8 + hlen :])
+
+
+def test_checkpoint_rejects_truncation_trailing_bytes_and_bad_headers(tmp_path):
+    spec, model, params = make("transe", seed=2)
+    path = tmp_path / "m.kge"
+    save_checkpoint(path, spec, params)
+    whole = path.read_bytes()
+    cut = tmp_path / "cut.kge"
+    for size in range(len(whole)):
+        cut.write_bytes(whole[:size])
+        with pytest.raises(ValueError):
+            load_checkpoint(cut)
+    cut.write_bytes(whole + b"\0")
+    with pytest.raises(ValueError, match="tensor bytes"):
+        load_checkpoint(cut)
+    edits = [
+        lambda h: h["spec"].update(margin=1.0),          # unknown spec key
+        lambda h: h["spec"].pop("num_entities"),          # missing spec key
+        lambda h: h["spec"].update(d_e=spec.d_e + 1),     # tensors of another spec
+        lambda h: h["tensors"][0].update(shape=[3]),
+        lambda h: h["tensors"].pop(),
+        lambda h: h.pop("spec"),
+        lambda h: h.update(extra=[1]),
+    ]
+    for edit in edits:
+        path.write_bytes(whole)
+        _rewrite_header(path, edit)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from kgembed.datasets import TripleStore
+from kgembed.datasets import SPLITS, FilterIndex, TripleStore
 from kgembed.losses import LossSpec
 from kgembed.models import InteractionSpec, build_interaction, init_parameters
 from kgembed.training import (
@@ -427,6 +427,25 @@ def test_train_with_bernoulli_and_filtered_sampling():
     result = train(model, params, store, config)
     assert result.epochs_run == 2
     assert np.isfinite(result.losses[-1])
+
+
+def test_bernoulli_filtered_training_builds_one_index(monkeypatch):
+    # the filtered sampler and its Bernoulli relation stats share one
+    # training-split index; an unfiltered Bernoulli run builds one for the stats
+    built = []
+    init = FilterIndex.__init__
+
+    def counting_init(self, store, splits=SPLITS):
+        built.append(tuple(splits))
+        init(self, store, splits)
+
+    monkeypatch.setattr(FilterIndex, "__init__", counting_init)
+    for filtered in (True, False):
+        built.clear()
+        store, model, params = toy_model()
+        config = run_config(sampler="bernoulli", filtered_sampling=filtered, num_epochs=1)
+        train(model, params, store, config)
+        assert built == [("train",)]
 
 
 def test_train_lcwa_end_to_end_with_early_stopping():
