@@ -22,10 +22,10 @@ import sys
 
 from .datasets import TripleStore, add_inverse_relations
 from .evaluation import RANK_DEFINITIONS, compute_ranks
-from .hpo import Budget, SearchSpace, StudyError, random_search
+from .hpo import StudyError, random_search
 from .models import InteractionSpec, build_interaction, load_checkpoint, save_checkpoint
 from .pipeline import (ConfigError, DataError, execute_run, load_config,
-                       load_store, vocab_sha256)
+                       load_store, load_study, vocab_sha256)
 from .reporting import (HPO_SUMMARY_HEADER, RUN_REPORT_HEADER, best_per_model,
                         load_run_result, render_csv, render_markdown,
                         write_report)
@@ -120,77 +120,6 @@ def cmd_evaluate(args):
 # hpo
 # ---------------------------------------------------------------------------
 
-def _load_study(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError([f"study: cannot read {path}: {e.strerror}"])
-    except json.JSONDecodeError as e:
-        raise ConfigError([f"study: {path} is not valid JSON: {e}"])
-    if not isinstance(doc, dict):
-        raise ConfigError(["study: expected a JSON object"])
-    problems = []
-    dataset = doc.get("dataset")
-    if not isinstance(dataset, dict):
-        problems.append("study.dataset: required object with train/valid/test paths")
-        dataset = {}
-    for split in ("train", "valid", "test"):
-        p = dataset.get(split)
-        if not isinstance(p, str):
-            problems.append(f"study.dataset.{split}: required path")
-        elif not os.path.isfile(p):
-            problems.append(f"study.dataset.{split}: no such file: {p}")
-    output_dir = doc.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append("study.output_dir: required non-empty string")
-    try:
-        space = SearchSpace(**{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in doc.get("space", {}).items()})
-    except TypeError as e:
-        problems.append(f"study.space: {e}")
-        space = None
-    except ValueError as e:
-        problems.append(f"study.space: {e}")
-        space = None
-    try:
-        budget = Budget(**doc.get("budget", {}))
-    except TypeError as e:
-        problems.append(f"study.budget: {e}")
-        budget = None
-    except ValueError as e:
-        problems.append(f"study.budget: {e}")
-        budget = None
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        problems.append("study.seed: expected a non-negative integer")
-    metric = doc.get("metric", "hits_at_10")
-    if metric not in ("hits_at_10", "mrr"):
-        problems.append("study.metric: must be 'hits_at_10' or 'mrr'")
-    frequency = doc.get("eval_frequency", 50)
-    patience = doc.get("patience", 100)
-    for name, v in (("eval_frequency", frequency), ("patience", patience)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            problems.append(f"study.{name}: expected a positive integer")
-    retrain = doc.get("retrain", "auto")
-    if retrain not in ("auto", "full"):
-        problems.append("study.retrain: must be 'auto' or 'full'")
-    workers = doc.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        problems.append("study.workers: expected a positive integer")
-    known = {"dataset", "output_dir", "space", "budget", "seed", "metric",
-             "eval_frequency", "patience", "retrain", "workers"}
-    for key in doc:
-        if key not in known:
-            problems.append(f"study.{key}: unknown field")
-    if problems:
-        raise ConfigError(problems)
-    return {"dataset": dataset, "output_dir": output_dir, "space": space,
-            "budget": budget, "seed": seed, "metric": metric,
-            "eval_frequency": frequency, "patience": patience,
-            "retrain": retrain, "workers": workers}
-
-
 def _env_workers(default):
     """Study workers, overridden by a positive integer in KGEMBED_THREADS."""
     raw = os.environ.get("KGEMBED_THREADS")
@@ -206,7 +135,7 @@ def _env_workers(default):
 
 
 def cmd_hpo(args):
-    study = _load_study(args.study)
+    study = load_study(args.study)
     workers = _env_workers(study["workers"])
     out_dir = os.environ.get("KGEMBED_OUTPUT_DIR") or study["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -221,7 +150,6 @@ def cmd_hpo(args):
         patience=study["patience"],
         records_path=os.path.join(out_dir, "trials.jsonl"),
         manifest_path=os.path.join(out_dir, "manifest.json"),
-        retrain=study["retrain"],
         workers=workers,
     )
 

@@ -21,6 +21,7 @@ level regardless of entity count.
 """
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -220,23 +221,33 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
     return RankingResult(side_ranks, split, filtered)
 
 
+def rank_test_split(model, params, store, filter_index=None):
+    """Test-split metrics, {"filtered"/"unfiltered": RankingResult.metrics()},
+    as a run's result.json and a study's best.json report them."""
+    return {name: compute_ranks(model, params, store, split="test", filtered=flag,
+                                filter_index=filter_index).metrics()
+            for name, flag in (("filtered", True), ("unfiltered", False))}
+
+
 def make_validation_callback(model, store, *, split="valid", metric="hits_at_10",
                              side="both", definition="realistic", filtered=True,
-                             use_inverse=None, batch_size=64):
+                             use_inverse=None, batch_size=64, filter_index_fn=None):
     """A params -> float scorer for early stopping.
 
-    The filter index over all splits is built once, by the first call, and
-    reused by every later call.
+    filter_index_fn() returns the FilterIndex to filter with; it is first
+    called by the first evaluation, so a run that shares one index between
+    validation and its test ranking builds it after training has started.
+    By default the first call builds an index over all splits and every
+    later call reuses it.
     """
-    fi = None
+    if filter_index_fn is None:
+        filter_index_fn = functools.cache(lambda: FilterIndex(store))
 
     def callback(params):
-        nonlocal fi
-        if filtered and fi is None:
-            fi = FilterIndex(store)
         result = compute_ranks(
             model, params, store, split=split, filtered=filtered,
-            use_inverse=use_inverse, batch_size=batch_size, filter_index=fi,
+            use_inverse=use_inverse, batch_size=batch_size,
+            filter_index=filter_index_fn() if filtered else None,
         )
         return result.get(metric=metric, side=side, definition=definition)
 

@@ -1,11 +1,14 @@
 """Random-search hyper-parameter optimization.
 
-A study draws full training configurations from a SearchSpace, trains each
-one with early stopping on the validation split, and keeps the configuration
-with the best validation metric. The final step obtains a model for that
-configuration (reusing the winning trial's parameters when they are still in
-memory, retraining otherwise, which is the same deterministic computation)
-and reports its test-split metrics.
+A study draws full training configurations from a SearchSpace. A trial is a
+run: trial_document turns its configuration into a run document (model,
+training, early stopping, inverse relations and seed), and
+pipeline.train_run trains it exactly as `kgembed train` trains a run, with
+early stopping on the validation split. The study keeps the configuration
+with the best validation metric. The final step obtains its parameters
+(reusing the winning trial's when they are still in memory, retraining
+otherwise, which is the same deterministic computation) and reports its
+test-split metrics with evaluation.rank_test_split, as a run does.
 
 Trial i is a pure function of (space, dataset, master seed, i): its
 configuration comes from a per-trial child generator and its training seed
@@ -26,11 +29,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .datasets import add_inverse_relations
-from .evaluation import compute_ranks, make_validation_callback
-from .losses import LossSpec, SLCWA_KINDS, LCWA_KINDS
-from .models import KINDS, InteractionSpec, build_interaction, init_parameters
+from .evaluation import rank_test_split
+from .losses import SLCWA_KINDS, LCWA_KINDS
+from .models import KINDS
+from .pipeline import build_model, train_run
 from .sampling import derive_seed, rng_for
-from .training import OptimizerSpec, TrainingConfig, train
 
 log = logging.getLogger(__name__)
 
@@ -80,9 +83,12 @@ class SearchSpace:
             if not value:
                 raise ValueError(f"search space field {name} is empty")
             setattr(self, name, value)
-        self.learning_rate_range = tuple(self.learning_rate_range)
-        self.label_smoothing_range = tuple(self.label_smoothing_range)
-        self.negatives_range = tuple(int(v) for v in self.negatives_range)
+        for name in ("learning_rate_range", "label_smoothing_range", "negatives_range"):
+            value = tuple(getattr(self, name))
+            if len(value) != 2:
+                raise ValueError(f"{name} needs two values, [lo, hi]")
+            cast = int if name == "negatives_range" else float
+            setattr(self, name, tuple(cast(v) for v in value))
         unknown = set(self.models) - set(KINDS)
         if unknown:
             raise ValueError(f"unknown interaction kinds {sorted(unknown)}")
@@ -97,14 +103,19 @@ class SearchSpace:
         if set(self.samplers) - {"uniform", "bernoulli"}:
             raise ValueError("samplers must be a subset of {'uniform', 'bernoulli'}")
         for name in ("learning_rate_range", "label_smoothing_range"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo < hi):
-                raise ValueError(f"{name} needs 0 < lo < hi")
+            lo, hi = getattr(self, name)  # drawn in log space
+            if not (0 < lo < hi < np.inf):
+                raise ValueError(f"{name} needs 0 < lo < hi, finite")
+        if self.label_smoothing_range[1] > 1:
+            raise ValueError("label_smoothing_range needs hi <= 1")
         lo, hi = self.negatives_range
-        if not (1 <= lo <= hi):
-            raise ValueError("negatives_range needs 1 <= lo <= hi")
-        if self.num_epochs < 1:
-            raise ValueError("num_epochs must be positive")
+        if not (1 <= lo <= hi < 2**63 - 1):  # hi + 1 bounds an int64 draw
+            raise ValueError("negatives_range needs 1 <= lo <= hi < 2**63 - 1")
+        for name in ("embedding_dims", "batch_sizes", "adversarial_temperatures"):
+            if not all(v > 0 for v in getattr(self, name)):
+                raise ValueError(f"{name} must all be positive")
+        if not isinstance(self.num_epochs, int) or self.num_epochs < 1:
+            raise ValueError("num_epochs must be a positive integer")
 
     def to_dict(self):
         return {k: (list(v) if isinstance(v, tuple) else v)
@@ -179,7 +190,7 @@ class Budget:
             raise ValueError("max_trials must be positive")
         for name in ("max_seconds", "trial_seconds"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive when set")
 
     def to_dict(self):
@@ -210,62 +221,55 @@ class TrialRecord:
         return cls(**doc)
 
 
-def trial_spec(cfg, store):
-    """InteractionSpec for a sampled configuration on a given store."""
-    return InteractionSpec(
-        kind=cfg["model"],
-        num_entities=store.num_entities,
-        num_relations=store.num_relations,
-        d_e=cfg["embedding_dim"],
-    )
-
-
-def trial_training_config(cfg, *, seed, eval_frequency=50, patience=100,
-                          metric="hits_at_10"):
-    """TrainingConfig for a sampled configuration.
+def trial_document(cfg, *, seed, metric="hits_at_10", eval_frequency=50,
+                   patience=100):
+    """The normalized run document, less dataset and output_dir, that trains
+    a sampled configuration.
 
     The evaluation frequency is clamped to the epoch cap so even very short
-    trials get at least one validation measurement.
+    trials get at least one validation measurement, and the patience is
+    lifted to at least that frequency.
     """
     frequency = min(eval_frequency, cfg["num_epochs"])
-    loss = LossSpec(
-        cfg["loss"],
-        margin=1.0 if cfg["margin"] is None else cfg["margin"],
-        adversarial_temperature=(1.0 if cfg["adversarial_temperature"] is None
-                                 else cfg["adversarial_temperature"]),
-    )
-    return TrainingConfig(
-        approach=cfg["approach"],
-        loss=loss,
-        optimizer=OptimizerSpec(kind=cfg["optimizer"], lr=cfg["learning_rate"]),
-        batch_size=cfg["batch_size"],
-        num_epochs=cfg["num_epochs"],
-        num_negatives=cfg["num_negatives"] or 32,
-        sampler=cfg["sampler"],
-        label_smoothing=cfg["label_smoothing"],
-        seed=seed,
-        eval_frequency=frequency,
-        patience=max(patience, frequency),
-        stopper_metric=metric,
-    )
+    return {
+        "model": {"kind": cfg["model"], "d_e": cfg["embedding_dim"]},
+        "training": {
+            "approach": cfg["approach"],
+            "loss": {
+                "kind": cfg["loss"],
+                "margin": 1.0 if cfg["margin"] is None else cfg["margin"],
+                "adversarial_temperature": (1.0 if cfg["adversarial_temperature"] is None
+                                            else cfg["adversarial_temperature"]),
+            },
+            "optimizer": {"kind": cfg["optimizer"],
+                          "learning_rate": cfg["learning_rate"]},
+            "batch_size": cfg["batch_size"],
+            "num_epochs": cfg["num_epochs"],
+            "num_negatives": cfg["num_negatives"] or 32,
+            "sampler": cfg["sampler"],
+            "filtered_sampling": False,
+            "label_smoothing": cfg["label_smoothing"],
+        },
+        "early_stopping": {"enabled": True, "frequency": frequency,
+                           "patience": max(patience, frequency), "metric": metric},
+        "inverse_relations": cfg["inverse"],
+        "seed": seed,
+    }
 
 
 def run_trial(trial_id, cfg, stores, *, seed, metric="hits_at_10",
               eval_frequency=50, patience=100, deadline=None):
-    """Train one configuration; returns (TrialRecord, trained params or None).
+    """Train one configuration as a run; returns (TrialRecord, trained params
+    or None). stores maps inverse_relations to the store a run trains on.
 
     Exceptions become a failed record so the surrounding search continues.
     """
     t0 = time.monotonic()
     try:
-        store = stores[bool(cfg["inverse"])]
-        model = build_interaction(trial_spec(cfg, store))
-        params = init_parameters(model, derive_seed(seed, "init"))
-        tconf = trial_training_config(cfg, seed=seed, eval_frequency=eval_frequency,
-                                      patience=patience, metric=metric)
-        callback = make_validation_callback(model, store, split="valid", metric=metric)
-        result = train(model, params, store, tconf,
-                       evaluate_fn=callback, deadline=deadline)
+        doc = trial_document(cfg, seed=seed, metric=metric,
+                             eval_frequency=eval_frequency, patience=patience)
+        _, _, result, _ = train_run(doc, stores[doc["inverse_relations"]],
+                                    deadline=deadline)
     except Exception as e:  # a failed trial must not kill the study
         log.warning("trial %d failed: %s", trial_id, e)
         record = TrialRecord(trial_id, cfg, seed, "failed", None, None, 0,
@@ -323,8 +327,7 @@ def _check_manifest(path, manifest):
 
 def random_search(space, store, *, budget=None, master_seed=0,
                   metric="hits_at_10", eval_frequency=50, patience=100,
-                  records_path=None, manifest_path=None, retrain="auto",
-                  workers=1):
+                  records_path=None, manifest_path=None, workers=1):
     """Run a study and return its StudyResult.
 
     store must be the un-augmented TripleStore; trials that model inverse
@@ -341,8 +344,6 @@ def random_search(space, store, *, budget=None, master_seed=0,
     """
     if store.inverse_augmented:
         raise ValueError("random_search wants the un-augmented store")
-    if retrain not in ("auto", "full"):
-        raise ValueError("retrain must be 'auto' or 'full'")
     budget = budget or Budget()
     t_start = time.monotonic()
     study_deadline = t_start + budget.max_seconds if budget.max_seconds else None
@@ -361,7 +362,9 @@ def random_search(space, store, *, budget=None, master_seed=0,
     _check_manifest(manifest_path, manifest)
 
     lock = threading.Lock()
-    memo = {"metric": -np.inf, "record": None, "params": None}
+    # the best trial run here so far, ranked like the final choice below, so
+    # that threads finishing in any order keep the same one
+    memo = {"key": (-np.inf, 0), "record": None, "params": None}
     records_file = open(records_path, "a", encoding="utf-8") if records_path else None
 
     def launch(i):
@@ -379,8 +382,8 @@ def random_search(space, store, *, budget=None, master_seed=0,
             if records_file:
                 records_file.write(json.dumps(record.to_json()) + "\n")
                 records_file.flush()
-            if record.metric is not None and record.metric > memo["metric"]:
-                memo.update(metric=record.metric, record=record, params=params)
+            if record.metric is not None and (record.metric, -i) > memo["key"]:
+                memo.update(key=(record.metric, -i), record=record, params=params)
         log.info("trial %d (%s/%s/%s) %s: metric=%s in %.1fs",
                  i, cfg["model"], cfg["loss"], cfg["approach"],
                  record.status, record.metric, record.wall_seconds)
@@ -407,10 +410,7 @@ def random_search(space, store, *, budget=None, master_seed=0,
     best = max(scored, key=lambda r: (r.metric, -r.trial_id))
 
     best_store = stores[bool(best.config["inverse"])]
-    spec = trial_spec(best.config, best_store)
-    model = build_interaction(spec)
-    reused = (retrain == "auto" and memo["record"] is not None
-              and memo["record"].trial_id == best.trial_id
+    reused = (memo["record"] is not None and memo["record"].trial_id == best.trial_id
               and best.status == "completed")
     if reused:
         best_params = memo["params"]
@@ -422,11 +422,8 @@ def random_search(space, store, *, budget=None, master_seed=0,
             eval_frequency=eval_frequency, patience=patience)
         if best_params is None:
             raise StudyError(f"retraining the best configuration failed: {record.error}")
-    test_metrics = {
-        name: compute_ranks(model, best_params, best_store, split="test",
-                            filtered=flag).metrics()
-        for name, flag in (("filtered", True), ("unfiltered", False))
-    }
+    spec, model = build_model(trial_document(best.config, seed=best.seed), best_store)
+    test_metrics = rank_test_split(model, best_params, best_store)
     return StudyResult(
         records=ordered,
         best=best,

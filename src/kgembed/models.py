@@ -25,6 +25,10 @@ from .autodiff import Graph
 
 TWO_PI = 2.0 * np.pi
 
+# the largest d_e, d_r, k or tau a spec accepts: one table row of this many
+# float64 values is 16 GiB, and ConvE's reshape search stays short below it
+MAX_WIDTH = 2**31 - 1
+
 KINDS = (
     "um", "se", "transe", "transh", "transr", "transd",
     "rescal", "distmult", "complex", "rotate", "simple",
@@ -70,12 +74,13 @@ class InteractionSpec:
             raise ValueError(f"unknown interaction kind {self.kind!r}")
         if self.num_entities < 1 or self.num_relations < 1:
             raise ValueError("need at least one entity and one relation")
-        if self.d_e < 1:
-            raise ValueError("d_e must be positive")
         if self.d_r is None:
             self.d_r = self.d_e
         if self.k is None:
             self.k = 4 if self.kind == "ntn" else self.d_e
+        for name in ("d_e", "d_r", "k", "tau"):
+            if not 1 <= getattr(self, name) <= MAX_WIDTH:
+                raise ValueError(f"{name} must lie in [1, {MAX_WIDTH}]")
         if self.p not in (1, 2):
             raise ValueError("p must be 1 or 2")
         if self.similarity not in ("kl", "el"):

@@ -2,10 +2,11 @@
 
 A run is described by one JSON document. normalize_config fills defaults and
 collects every problem it can find (field paths included) before raising, so
-a bad config is diagnosed in one pass. execute_run then loads the data,
-trains with early stopping, evaluates the test split filtered and unfiltered
-under all three rank definitions, and writes four artifacts into the output
-directory:
+a bad config is diagnosed in one pass; normalize_study does the same for a
+study document. execute_run then loads the data, trains with early stopping
+through train_run (the in-memory run function that also trains every HPO
+trial), evaluates the test split filtered and unfiltered under all three
+rank definitions, and writes four artifacts into the output directory:
 
     config.json       byte-for-byte copy of the validated input document
     trace.jsonl       one record per training epoch
@@ -16,6 +17,7 @@ Environment overrides are deliberately limited to KGEMBED_OUTPUT_DIR and
 KGEMBED_THREADS; everything else lives in the document.
 """
 
+import functools
 import hashlib
 import json
 import logging
@@ -25,8 +27,8 @@ import time
 
 import numpy as np
 
-from .datasets import TripleStore, add_inverse_relations
-from .evaluation import compute_ranks, make_validation_callback
+from .datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
+from .evaluation import make_validation_callback, rank_test_split
 from .losses import LossSpec, SLCWA_KINDS, LCWA_KINDS, KINDS as LOSS_KINDS
 from .models import (KINDS as MODEL_KINDS, InteractionSpec, build_interaction,
                      init_parameters, save_checkpoint)
@@ -54,37 +56,96 @@ class DataError(ValueError):
     """Dataset files missing or malformed."""
 
 
-# model fields a config may set; vocabulary sizes always come from the data
-_MODEL_FIELDS = ("d_e", "d_r", "k", "tau", "kernel", "p", "similarity",
-                 "c_min", "c_max", "conv_height")
+def _at_least(lo):
+    return lambda v: None if v >= lo else f"must be >= {lo}"
 
-_TRAINING_DEFAULTS = {
-    "batch_size": 256,
-    "num_epochs": 1000,
-    "num_negatives": 32,
-    "sampler": "uniform",
-    "filtered_sampling": False,
-    "label_smoothing": 0.0,
+
+def _one_of(*choices):
+    return lambda v: None if v in choices else \
+        "must be " + " or ".join(repr(c) for c in choices)
+
+
+def _above_zero(v):
+    return None if v > 0 else "must be positive"
+
+
+# model fields a config may set, with their JSON types; vocabulary sizes
+# always come from the data
+_MODEL_FIELDS = {"d_e": int, "d_r": int, "k": int, "tau": int, "kernel": [int],
+                 "p": int, "similarity": str, "c_min": (int, float),
+                 "c_max": (int, float), "conv_height": int}
+
+# optional fields of each section: default and value check; a field takes
+# the JSON type of its default
+_LOSS_FIELDS = {"margin": (1.0, None), "adversarial_temperature": (1.0, _above_zero)}
+_OPTIMIZER_FIELDS = {"kind": ("adam", _one_of("adam", "adadelta")),
+                     "learning_rate": (0.01, _above_zero)}
+_TRAINING_FIELDS = {
+    "batch_size": (256, _at_least(1)),
+    "num_epochs": (1000, _at_least(1)),
+    "num_negatives": (32, _at_least(1)),
+    "sampler": ("uniform", _one_of("uniform", "bernoulli")),
+    "filtered_sampling": (False, None),
+    "label_smoothing": (0.0, lambda v: None if 0 <= v < 1 else "must lie in [0, 1)"),
 }
-
-_STOPPING_DEFAULTS = {
-    "enabled": True,
-    "frequency": 50,
-    "patience": 100,
-    "metric": "hits_at_10",
+_STOPPING_FIELDS = {
+    "enabled": (True, None),
+    "frequency": (50, _at_least(1)),
+    "patience": (100, _at_least(1)),
+    "metric": ("hits_at_10", _one_of("hits_at_10", "mrr")),
 }
+_RUN_FIELDS = {"inverse_relations": (False, None), "seed": (0, _at_least(0))}
+_STUDY_FIELDS = {
+    "seed": (0, _at_least(0)),
+    "metric": _STOPPING_FIELDS["metric"],
+    "eval_frequency": _STOPPING_FIELDS["frequency"],
+    "patience": _STOPPING_FIELDS["patience"],
+    "workers": (1, _at_least(1)),
+}
+# JSON types of the study's budget fields; null keeps a limit unset
+_BUDGET_FIELDS = {"max_trials": int, "max_seconds": (int, float, type(None)),
+                  "trial_seconds": (int, float, type(None))}
 
 
-def _section(doc, name, problems, required=True):
-    sec = doc.get(name)
-    if sec is None:
+def _json_type(default):
+    """The JSON type a field with this default takes: a number for a float,
+    [T] for a list of T."""
+    if isinstance(default, list):
+        return [_json_type(default[0])]
+    return (int, float) if isinstance(default, float) else type(default)
+
+
+def _section(doc, path, problems, required=True):
+    """Pop the object at path's last key from doc; {} (and a problem) when it
+    is missing or not an object."""
+    key = path.rsplit(".", 1)[-1]
+    if key not in doc:
         if required:
-            problems.append(f"{name}: missing section")
+            problems.append(f"{path}: missing section")
         return {}
+    sec = doc.pop(key)
     if not isinstance(sec, dict):
-        problems.append(f"{name}: expected an object")
+        problems.append(f"{path}: expected an object")
         return {}
     return dict(sec)
+
+
+def _is(value, types):
+    """Whether a JSON value has the given type: a class, a tuple of classes,
+    or [T] for a list of T. A bool is never taken for a number."""
+    if isinstance(types, list):
+        return isinstance(value, list) and all(_is(v, types[0]) for v in value)
+    if types is bool:
+        return isinstance(value, bool)
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _type_name(types):
+    if isinstance(types, list):
+        return f"a list of {_type_name(types[0])}"
+    if isinstance(types, tuple):
+        return " or ".join(_type_name(t) for t in types)
+    return "null" if types is type(None) else types.__name__
 
 
 def _take(sec, path, key, types, default, problems, check=None):
@@ -95,12 +156,8 @@ def _take(sec, path, key, types, default, problems, check=None):
             return None
         return default
     value = sec.pop(key)
-    if types is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = isinstance(value, types) and not isinstance(value, bool)
-    if not ok:
-        problems.append(f"{path}.{key}: expected {getattr(types, '__name__', types)}")
+    if not _is(value, types):
+        problems.append(f"{path}.{key}: expected {_type_name(types)}")
         return default if default is not ... else None
     if check:
         message = check(value)
@@ -109,9 +166,28 @@ def _take(sec, path, key, types, default, problems, check=None):
     return value
 
 
+def _optional(sec, path, fields, problems):
+    """Each of fields ({key: (default, check)}) from sec, or its default."""
+    return {key: _take(sec, path, key, _json_type(default), default, problems, check)
+            for key, (default, check) in fields.items()}
+
+
 def _leftovers(sec, path, problems):
     for key in sec:
         problems.append(f"{path}.{key}: unknown field")
+
+
+def _dataset(doc, path, problems):
+    """The train/valid/test file paths of the dataset section at path."""
+    dataset = _section(doc, path, problems)
+    ds = {}
+    for split in SPLITS:
+        file = _take(dataset, path, split, str, ..., problems)
+        if file is not None and not os.path.isfile(file):
+            problems.append(f"{path}.{split}: no such file: {file}")
+        ds[split] = file
+    _leftovers(dataset, path, problems)
+    return ds
 
 
 def normalize_config(doc):
@@ -124,102 +200,34 @@ def normalize_config(doc):
         raise ConfigError(["config: expected a JSON object"])
     doc = dict(doc)
     problems = []
-    out = {}
-
-    dataset = _section(doc, "dataset", problems)
-    ds = {}
-    for split in ("train", "valid", "test"):
-        path = _take(dataset, "dataset", split, str, ..., problems)
-        if path is not None and not os.path.isfile(path):
-            problems.append(f"dataset.{split}: no such file: {path}")
-        ds[split] = path
-    _leftovers(dataset, "dataset", problems)
-    out["dataset"] = ds
+    out = {"dataset": _dataset(doc, "dataset", problems)}
 
     model = _section(doc, "model", problems)
-    kind = _take(model, "model", "kind", str, ..., problems,
-                 check=lambda v: None if v in MODEL_KINDS
-                 else f"unknown interaction kind {v!r}")
-    m = {"kind": kind}
-    for key in _MODEL_FIELDS:
+    m = {"kind": _take(model, "model", "kind", str, ..., problems,
+                       check=lambda v: None if v in MODEL_KINDS
+                       else f"unknown interaction kind {v!r}")}
+    for key, types in _MODEL_FIELDS.items():
         if key in model:
-            if key == "kernel":
-                v = model.pop("kernel")
-                if (not isinstance(v, (list, tuple)) or len(v) != 2
-                        or not all(isinstance(x, int) for x in v)):
-                    problems.append("model.kernel: expected a pair of integers")
-                else:
-                    m["kernel"] = list(v)
-            elif key == "similarity":
-                m[key] = _take(model, "model", key, str, ..., problems)
-            elif key in ("c_min", "c_max"):
-                m[key] = _take(model, "model", key, (int, float), ..., problems)
-            else:
-                m[key] = _take(model, "model", key, int, ..., problems)
+            m[key] = _take(model, "model", key, types, ..., problems)
+    if m.get("kernel") is not None and len(m["kernel"]) != 2:
+        problems.append("model.kernel: expected a pair of integers")
     _leftovers(model, "model", problems)
     out["model"] = m
 
     training = _section(doc, "training", problems)
-    t = {}
-    t["approach"] = _take(training, "training", "approach", str, ..., problems,
-                          check=lambda v: None if v in ("slcwa", "lcwa")
-                          else "must be 'slcwa' or 'lcwa'")
-    loss_sec = _section(training, "loss", problems) if isinstance(
-        training.get("loss"), dict) else None
-    if loss_sec is None:
-        problems.append("training.loss: expected an object with a 'kind'")
-        t["loss"] = {"kind": None, "margin": 1.0, "adversarial_temperature": 1.0}
-    else:
-        training.pop("loss")
-        t["loss"] = {
-            "kind": _take(loss_sec, "training.loss", "kind", str, ..., problems,
-                          check=lambda v: None if v in LOSS_KINDS
-                          else f"unknown loss kind {v!r}"),
-            "margin": _take(loss_sec, "training.loss", "margin", (int, float),
-                            1.0, problems),
-            "adversarial_temperature": _take(
-                loss_sec, "training.loss", "adversarial_temperature",
-                (int, float), 1.0, problems,
-                check=lambda v: None if v > 0 else "must be positive"),
-        }
-        _leftovers(loss_sec, "training.loss", problems)
-    opt_sec = training.pop("optimizer", None)
-    if not isinstance(opt_sec, dict):
-        if opt_sec is not None:
-            problems.append("training.optimizer: expected an object")
-        opt_sec = {}
-    else:
-        opt_sec = dict(opt_sec)
-    t["optimizer"] = {
-        "kind": _take(opt_sec, "training.optimizer", "kind", str, "adam", problems,
-                      check=lambda v: None if v in ("adam", "adadelta")
-                      else "must be 'adam' or 'adadelta'"),
-        "learning_rate": _take(opt_sec, "training.optimizer", "learning_rate",
-                               (int, float), 0.01, problems,
-                               check=lambda v: None if v > 0 else "must be positive"),
-    }
-    _leftovers(opt_sec, "training.optimizer", problems)
-    t["batch_size"] = _take(training, "training", "batch_size", int,
-                            _TRAINING_DEFAULTS["batch_size"], problems,
-                            check=lambda v: None if v >= 1 else "must be >= 1")
-    t["num_epochs"] = _take(training, "training", "num_epochs", int,
-                            _TRAINING_DEFAULTS["num_epochs"], problems,
-                            check=lambda v: None if v >= 1 else "must be >= 1")
-    t["num_negatives"] = _take(training, "training", "num_negatives", int,
-                               _TRAINING_DEFAULTS["num_negatives"], problems,
-                               check=lambda v: None if v >= 1 else "must be >= 1")
-    t["sampler"] = _take(training, "training", "sampler", str,
-                         _TRAINING_DEFAULTS["sampler"], problems,
-                         check=lambda v: None if v in ("uniform", "bernoulli")
-                         else "must be 'uniform' or 'bernoulli'")
-    t["filtered_sampling"] = _take(training, "training", "filtered_sampling",
-                                   bool, _TRAINING_DEFAULTS["filtered_sampling"],
-                                   problems)
-    t["label_smoothing"] = _take(training, "training", "label_smoothing",
-                                 (int, float),
-                                 _TRAINING_DEFAULTS["label_smoothing"], problems,
-                                 check=lambda v: None if 0 <= v < 1
-                                 else "must lie in [0, 1)")
+    t = {"approach": _take(training, "training", "approach", str, ..., problems,
+                           check=_one_of("slcwa", "lcwa"))}
+    loss = _section(training, "training.loss", problems)
+    t["loss"] = {"kind": _take(loss, "training.loss", "kind", str, ..., problems,
+                               check=lambda v: None if v in LOSS_KINDS
+                               else f"unknown loss kind {v!r}"),
+                 **_optional(loss, "training.loss", _LOSS_FIELDS, problems)}
+    _leftovers(loss, "training.loss", problems)
+    optimizer = _section(training, "training.optimizer", problems, required=False)
+    t["optimizer"] = _optional(optimizer, "training.optimizer", _OPTIMIZER_FIELDS,
+                               problems)
+    _leftovers(optimizer, "training.optimizer", problems)
+    t.update(_optional(training, "training", _TRAINING_FIELDS, problems))
     _leftovers(training, "training", problems)
     if t["approach"] == "lcwa" and t["loss"]["kind"] in SLCWA_KINDS and \
             t["loss"]["kind"] not in LCWA_KINDS:
@@ -233,33 +241,15 @@ def normalize_config(doc):
     out["training"] = t
 
     stopping = _section(doc, "early_stopping", problems, required=False)
-    s = {
-        "enabled": _take(stopping, "early_stopping", "enabled", bool,
-                         _STOPPING_DEFAULTS["enabled"], problems),
-        "frequency": _take(stopping, "early_stopping", "frequency", int,
-                           _STOPPING_DEFAULTS["frequency"], problems,
-                           check=lambda v: None if v >= 1 else "must be >= 1"),
-        "patience": _take(stopping, "early_stopping", "patience", int,
-                          _STOPPING_DEFAULTS["patience"], problems,
-                          check=lambda v: None if v >= 1 else "must be >= 1"),
-        "metric": _take(stopping, "early_stopping", "metric", str,
-                        _STOPPING_DEFAULTS["metric"], problems,
-                        check=lambda v: None if v in ("hits_at_10", "mrr")
-                        else "must be 'hits_at_10' or 'mrr'"),
-    }
+    s = out["early_stopping"] = _optional(stopping, "early_stopping",
+                                          _STOPPING_FIELDS, problems)
     _leftovers(stopping, "early_stopping", problems)
     if s["patience"] < s["frequency"]:
         problems.append("early_stopping.patience: must be >= frequency")
-    out["early_stopping"] = s
 
-    out["inverse_relations"] = _take(doc, "config", "inverse_relations", bool,
-                                     False, problems)
-    out["seed"] = _take(doc, "config", "seed", int, 0, problems,
-                        check=lambda v: None if v >= 0 else "must be >= 0")
+    out.update(_optional(doc, "config", _RUN_FIELDS, problems))
     out["output_dir"] = _take(doc, "config", "output_dir", str, ..., problems,
                               check=lambda v: None if v else "must be non-empty")
-    for key in ("dataset", "model", "training", "early_stopping"):
-        doc.pop(key, None)
     _leftovers(doc, "config", problems)
 
     if problems:
@@ -267,18 +257,65 @@ def normalize_config(doc):
     return out
 
 
-def load_config(path):
-    """Read and normalize a config file; returns (normalized, raw bytes)."""
+def normalize_study(doc):
+    """Validate a study document; returns it with defaults filled and its
+    space and budget as a SearchSpace and a Budget.
+
+    Raises ConfigError carrying every problem found. Fields are checked for
+    presence and type here; SearchSpace and Budget check the values.
+    """
+    from .hpo import Budget, SearchSpace  # hpo trains its trials through this module
+
+    if not isinstance(doc, dict):
+        raise ConfigError(["study: expected a JSON object"])
+    doc = dict(doc)
+    problems = []
+    out = {"dataset": _dataset(doc, "study.dataset", problems)}
+    space_fields = {k: _json_type(v) for k, v in SearchSpace().to_dict().items()}
+    for name, cls, types in (("space", SearchSpace, space_fields),
+                             ("budget", Budget, _BUDGET_FIELDS)):
+        path, before = f"study.{name}", len(problems)
+        sec = _section(doc, path, problems, required=False)
+        fields = {key: _take(sec, path, key, t, None, problems)
+                  for key, t in types.items() if key in sec}
+        _leftovers(sec, path, problems)
+        if len(problems) == before:
+            try:
+                out[name] = cls(**fields)
+            except (ValueError, OverflowError) as e:  # an int past float range overflows
+                problems.append(f"{path}: {e}")
+    out.update(_optional(doc, "study", _STUDY_FIELDS, problems))
+    out["output_dir"] = _take(doc, "study", "output_dir", str, ..., problems,
+                              check=lambda v: None if v else "must be non-empty")
+    _leftovers(doc, "study", problems)
+
+    if problems:
+        raise ConfigError(problems)
+    return out
+
+
+def _read_json(path, what):
+    """(document, raw bytes) of a JSON file; ConfigError when unreadable."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
     except OSError as e:
-        raise ConfigError([f"config: cannot read {path}: {e.strerror}"])
+        raise ConfigError([f"{what}: cannot read {path}: {e.strerror}"])
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8")), raw
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError([f"config: {path} is not valid JSON: {e}"])
+        raise ConfigError([f"{what}: {path} is not valid JSON: {e}"])
+
+
+def load_config(path):
+    """Read and normalize a config file; returns (normalized, raw bytes)."""
+    doc, raw = _read_json(path, "config")
     return normalize_config(doc), raw
+
+
+def load_study(path):
+    """Read and normalize a study file (see normalize_study)."""
+    return normalize_study(_read_json(path, "study")[0])
 
 
 def load_store(dataset):
@@ -348,6 +385,31 @@ def _dataset_stats(store):
     }
 
 
+def train_run(cfg, store, *, trace_path=None, deadline=None):
+    """Train one normalized run document on its data, in memory.
+
+    store must carry inverse relations exactly when cfg asks for them. Builds
+    the model, initializes its parameters, trains with the document's early
+    stopping and returns (spec, model, TrainResult, filter_index_fn), where
+    filter_index_fn() gives the run's one FilterIndex over all splits: built
+    by the first validation, or by the first call after training.
+    """
+    if store.inverse_augmented != cfg["inverse_relations"]:
+        raise ValueError("the store's inverse relations do not match the run document")
+    spec, model = build_model(cfg, store)
+    params = init_parameters(model, derive_seed(cfg["seed"], "init"))
+    tconf = build_training_config(cfg)
+    filter_index_fn = functools.cache(lambda: FilterIndex(store))
+    callback = None
+    if cfg["early_stopping"]["enabled"]:
+        callback = make_validation_callback(
+            model, store, split="valid", metric=cfg["early_stopping"]["metric"],
+            filter_index_fn=filter_index_fn)
+    result = train(model, params, store, tconf, evaluate_fn=callback,
+                   trace_path=trace_path, deadline=deadline)
+    return spec, model, result, filter_index_fn
+
+
 def execute_run(cfg, *, config_bytes=None, output_dir=None):
     """Train, evaluate and persist one run; returns the result document.
 
@@ -363,25 +425,12 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
     store = load_store(cfg["dataset"])
     if cfg["inverse_relations"]:
         store = add_inverse_relations(store)
-    spec, model = build_model(cfg, store)
-    params = init_parameters(model, derive_seed(cfg["seed"], "init"))
-    tconf = build_training_config(cfg)
-    callback = None
-    if cfg["early_stopping"]["enabled"]:
-        callback = make_validation_callback(
-            model, store, split="valid", metric=cfg["early_stopping"]["metric"])
-
     trace_path = os.path.join(out_dir, "trace.jsonl")
-    result = train(model, params, store, tconf,
-                   evaluate_fn=callback, trace_path=trace_path)
+    spec, model, result, filter_index_fn = train_run(cfg, store, trace_path=trace_path)
     train_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()
-    metrics = {
-        name: compute_ranks(model, result.params, store, split="test",
-                            filtered=flag).metrics()
-        for name, flag in (("filtered", True), ("unfiltered", False))
-    }
+    metrics = rank_test_split(model, result.params, store, filter_index_fn())
     eval_seconds = time.monotonic() - t1
 
     checkpoint_path = os.path.join(out_dir, "checkpoint.kge")

@@ -184,6 +184,18 @@ def test_train_divergence_exits_4(tmp_path, capsys):
     assert "runtime error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["conve", "distmult"])
+def test_train_oversized_model_exits_2(tmp_path, capsys, kind):
+    # ConvE's reshape search and numpy's allocation both failed with a traceback
+    data = write_dataset(tmp_path / "data")
+    doc = run_config(data, tmp_path / "out")
+    doc["model"] = {"kind": kind, "d_e": 10**30}
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(doc))
+    assert main(["train", str(p)]) == 2
+    assert "config error: model: d_e must lie in [1, 2147483647]" in capsys.readouterr().err
+
+
 def test_train_env_output_dir_override(tmp_path, capsys, monkeypatch):
     data = write_dataset(tmp_path / "data")
     p = tmp_path / "run.json"
@@ -441,9 +453,47 @@ def test_hpo_bad_threads_env_exits_2(workspace, tmp_path, capsys, monkeypatch, v
     assert not out.exists()  # rejected before any output is written
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(space=5), "study.space: expected an object"),
+    (lambda d: d.update(space=None), "study.space: expected an object"),
+    (lambda d: d["space"].update(models="distmult"),
+     "study.space.models: expected a list of str"),
+    (lambda d: d["space"].update(inverse_choices=[0, 1]),
+     "study.space.inverse_choices: expected a list of bool"),
+    (lambda d: d["budget"].update(max_trials="3"),
+     "study.budget.max_trials: expected int"),
+    (lambda d: d["budget"].update(max_seconds=float("nan")),
+     "study.budget: max_seconds must be positive when set"),
+    (lambda d: d["space"].update(wishful=[1]), "study.space.wishful: unknown field"),
+    (lambda d: d["budget"].update(max_hours=1), "study.budget.max_hours: unknown field"),
+    (lambda d: d["space"].update(embedding_dims=[0]),
+     "study.space: embedding_dims must all be positive"),
+    (lambda d: d["space"].update(batch_sizes=[4, -1]),
+     "study.space: batch_sizes must all be positive"),
+    (lambda d: d["space"].update(num_epochs=2.5), "study.space.num_epochs: expected int"),
+    (lambda d: d["space"].update(learning_rate_range=[0.1]),
+     "study.space: learning_rate_range needs two values"),
+    (lambda d: d.update(retrain="full"), "study.retrain: unknown field"),
+    (lambda d: d.pop("dataset"), "study.dataset: missing section"),
+    (lambda d: d.update(seed=-1), "study.seed: must be >= 0"),
+], ids=["space-int", "space-null", "space-str-list", "space-bool-list",
+        "budget-str", "budget-nan", "space-unknown", "budget-unknown",
+        "dims-zero", "batch-negative", "epochs-float", "range-one-value",
+        "retrain", "no-dataset", "seed-negative"])
+def test_hpo_malformed_study_exits_2(workspace, tmp_path, capsys, edit, message):
+    out = tmp_path / "o"
+    doc = study_doc(workspace["data"], out)
+    edit(doc)
+    p = tmp_path / "study.json"
+    p.write_text(json.dumps(doc))
+    assert main(["hpo", str(p)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output is written
+
+
 def test_hpo_all_trials_failing_exits_4(workspace, tmp_path, capsys):
     doc = study_doc(workspace["data"], tmp_path / "o")
-    doc["space"]["embedding_dims"] = [0]
+    doc["budget"]["max_seconds"] = 1e-9  # spent before the first trial starts
     p = tmp_path / "study.json"
     p.write_text(json.dumps(doc))
     assert main(["hpo", str(p)]) == 4

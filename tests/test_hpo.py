@@ -19,22 +19,27 @@ from kgembed.hpo import (
     random_search,
     run_trial,
     sample_config,
-    trial_spec,
-    trial_training_config,
+    trial_document,
 )
-from kgembed.models import build_interaction
+from kgembed.models import load_checkpoint
+from kgembed.pipeline import (build_model, build_training_config, execute_run,
+                              normalize_config)
 from kgembed.sampling import derive_seed, rng_for
 
 
-def toy_store():
-    train = [
+TOY_SPLITS = (
+    [
         ("a", "r0", "b"), ("a", "r0", "c"), ("b", "r0", "c"),
         ("c", "r1", "a"), ("d", "r1", "a"), ("b", "r1", "d"),
         ("d", "r0", "e"), ("e", "r1", "b"), ("a", "r1", "e"),
-    ]
-    valid = [("b", "r0", "d"), ("c", "r1", "e")]
-    test = [("e", "r0", "a"), ("d", "r0", "a")]
-    return TripleStore.from_labeled_triples(train, valid, test)
+    ],
+    [("b", "r0", "d"), ("c", "r1", "e")],
+    [("e", "r0", "a"), ("d", "r0", "a")],
+)
+
+
+def toy_store():
+    return TripleStore.from_labeled_triples(*TOY_SPLITS)
 
 
 def tiny_space(**kw):
@@ -96,6 +101,14 @@ def test_search_space_validation():
         SearchSpace(negatives_range=(0, 10))
     with pytest.raises(ValueError, match="num_epochs"):
         SearchSpace(num_epochs=0)
+    with pytest.raises(ValueError, match="num_epochs must be a positive integer"):
+        SearchSpace(num_epochs=2.5)  # would be truncated to 2 epochs
+    with pytest.raises(ValueError, match="embedding_dims must all be positive"):
+        SearchSpace(embedding_dims=(64, 0))
+    with pytest.raises(ValueError, match="batch_sizes must all be positive"):
+        SearchSpace(batch_sizes=(-4,))
+    with pytest.raises(ValueError, match="needs two values"):
+        SearchSpace(learning_rate_range=(0.01, 0.1, 1.0))
 
 
 def test_search_space_dict_round_trip():
@@ -144,15 +157,25 @@ def test_sampled_configs_respect_the_space():
     assert saw_approach == {"slcwa", "lcwa"}
 
 
-def test_every_sample_builds_a_valid_training_config():
-    # the approach-specific loss pools make compatibility hold by construction
+def test_every_sample_builds_a_valid_training_config(tmp_path):
+    # the approach-specific loss pools make compatibility hold by construction,
+    # and every trial document is a normalized run document
     space = SearchSpace()
     rng = np.random.default_rng(1)
+    paths = write_store(tmp_path)
     for _ in range(300):
         cfg = sample_config(space, rng)
-        tconf = trial_training_config(cfg, seed=0)
+        doc = trial_document(cfg, seed=0)
+        run = dict(doc, dataset=paths, output_dir=str(tmp_path / "out"))
+        assert normalize_config(json.loads(json.dumps(run))) == run
+        tconf = build_training_config(doc)
         assert tconf.approach == cfg["approach"]
         assert tconf.loss.kind == cfg["loss"]
+        assert tconf.optimizer.lr == cfg["learning_rate"]
+        assert tconf.batch_size == cfg["batch_size"]
+        assert tconf.sampler == cfg["sampler"]
+        assert tconf.label_smoothing == cfg["label_smoothing"]
+        assert tconf.num_negatives == (cfg["num_negatives"] or 32)
 
 
 def test_learning_rate_is_log_uniform():
@@ -195,26 +218,47 @@ def test_trial_record_round_trip():
     assert back == rec
 
 
-def test_trial_training_config_clamps_eval_frequency():
+def test_trial_document_clamps_eval_frequency():
     cfg = sample_config(tiny_space(num_epochs=5), rng_for(0, "trial-0/config"))
-    tconf = trial_training_config(cfg, seed=1, eval_frequency=50, patience=3)
+    doc = trial_document(cfg, seed=1, eval_frequency=50, patience=3)
+    tconf = build_training_config(doc)
     assert tconf.eval_frequency == 5   # clamped to the epoch cap
     assert tconf.patience == 5         # lifted to stay >= frequency
     assert tconf.num_epochs == 5
+    assert tconf.seed == 1
+    doc = trial_document(cfg, seed=1, eval_frequency=2, patience=3)
+    assert build_training_config(doc).eval_frequency == 2
+    assert build_training_config(doc).patience == 3
 
 
-def test_trial_spec_uses_the_right_store():
+def test_trial_document_uses_the_right_store():
     store = toy_store()
     stores = {False: store, True: add_inverse_relations(store)}
     cfg = sample_config(tiny_space(), rng_for(0, "trial-0/config"))
-    assert trial_spec(cfg, stores[False]).num_relations == store.num_relations
-    assert trial_spec(cfg, stores[True]).num_relations == 2 * store.num_relations
-    assert trial_spec(cfg, stores[False]).d_e == cfg["embedding_dim"]
+    doc = trial_document(cfg, seed=0)
+    assert build_model(doc, stores[False])[0].num_relations == store.num_relations
+    assert build_model(doc, stores[True])[0].num_relations == 2 * store.num_relations
+    assert build_model(doc, stores[False])[0].d_e == cfg["embedding_dim"]
+    # run_trial trains on the store its configuration asks for
+    for inverse in (False, True):
+        record, params = run_trial(0, dict(cfg, inverse=inverse), stores, seed=2)
+        assert record.status == "completed"
+        assert params["relation"].shape[0] == stores[inverse].num_relations
 
 
 # ---------------------------------------------------------------------------
 # single trials
 # ---------------------------------------------------------------------------
+
+def write_store(tmp_path):
+    """toy_store's splits as TSV files; returns the dataset section."""
+    paths = {}
+    for split, triples in zip(("train", "valid", "test"), TOY_SPLITS):
+        path = tmp_path / f"{split}.txt"
+        path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples))
+        paths[split] = str(path)
+    return paths
+
 
 def stores_pair():
     store = toy_store()
@@ -240,7 +284,7 @@ def test_run_trial_turns_exceptions_into_failed_records():
     assert record.status == "failed"
     assert params is None
     assert record.metric is None
-    assert "ValueError" in record.error
+    assert record.error == "ConfigError: model: d_e must lie in [1, 2147483647]"
 
 
 def test_run_trial_deadline_yields_budget_exhausted():
@@ -266,6 +310,30 @@ def test_run_trial_is_deterministic():
         assert np.array_equal(p1[k], p2[k])
 
 
+@pytest.mark.parametrize("trial", range(4))
+def test_trial_and_run_of_the_same_document_agree_exactly(tmp_path, trial):
+    # a trial is a run: the run document of a sampled configuration, trained
+    # by `kgembed train`'s execute_run on the same files, gives the same bits
+    paths = write_store(tmp_path)
+    store = TripleStore.from_files(paths["train"], paths["valid"], paths["test"])
+    stores = {False: store, True: add_inverse_relations(store)}
+    space = tiny_space(models=("distmult", "transe", "complex"), num_epochs=3,
+                       samplers=("uniform", "bernoulli"))
+    cfg = sample_config(space, rng_for(12, f"trial-{trial}/config"))
+    seed = derive_seed(12, f"trial-{trial}/train")
+    record, params = run_trial(trial, cfg, stores, seed=seed, eval_frequency=1,
+                               patience=2)
+    assert record.status == "completed"
+    doc = trial_document(cfg, seed=seed, eval_frequency=1, patience=2)
+    result = execute_run(dict(doc, dataset=paths, output_dir=str(tmp_path / "run")))
+    assert result["training"]["best_validation_metric"] == record.metric
+    assert result["training"]["epochs_run"] == record.epochs_run
+    _, saved, _ = load_checkpoint(result["paths"]["checkpoint"])
+    assert saved.keys() == params.keys()
+    for k in params:
+        assert np.array_equal(saved[k], params[k])
+
+
 # ---------------------------------------------------------------------------
 # whole studies
 # ---------------------------------------------------------------------------
@@ -285,25 +353,27 @@ def test_random_search_end_to_end():
     assert result.best.metric == max(r.metric for r in scored)
     assert result.retrained is False  # the winner's params were still in memory
     # the reported test metrics are reproducible from the returned params
-    model = build_interaction(
-        trial_spec(result.best.config,
-                   stores_pair()[bool(result.best.config["inverse"])])
-    )
     check_store = stores_pair()[bool(result.best.config["inverse"])]
+    _, model = build_model(trial_document(result.best.config, seed=0), check_store)
     again = compute_ranks(model, result.best_params, check_store,
                           split="test", filtered=True).metrics()
     assert again == result.test_metrics["filtered"]
     assert set(result.test_metrics) == {"filtered", "unfiltered"}
 
 
-def test_reuse_and_full_retrain_agree_exactly():
+def test_reuse_and_full_retrain_agree_exactly(tmp_path):
+    # a study resumed with every trial on disk has no params in memory and
+    # retrains its winner; that must give the bits the first run reused
     store = toy_store()
-    kw = dict(budget=Budget(max_trials=3), master_seed=4, eval_frequency=1, patience=2)
-    auto = random_search(tiny_space(), store, retrain="auto", **kw)
-    full = random_search(tiny_space(), store, retrain="full", **kw)
+    kw = dict(budget=Budget(max_trials=3), master_seed=4, eval_frequency=1,
+              patience=2, records_path=str(tmp_path / "trials.jsonl"))
+    auto = random_search(tiny_space(), store, **kw)
+    full = random_search(tiny_space(), store, **kw)
     assert auto.retrained is False
     assert full.retrained is True
     assert auto.best.trial_id == full.best.trial_id
+    assert auto.best_spec == full.best_spec
+    assert auto.best_params.keys() == full.best_params.keys()
     for k in auto.best_params:
         assert np.array_equal(auto.best_params[k], full.best_params[k])
     assert auto.test_metrics == full.test_metrics
@@ -325,13 +395,12 @@ def test_random_search_rejects_bad_inputs():
     store = toy_store()
     with pytest.raises(ValueError, match="un-augmented"):
         random_search(tiny_space(), add_inverse_relations(store))
-    with pytest.raises(ValueError, match="retrain"):
-        random_search(tiny_space(), store, retrain="sometimes")
 
 
 def test_study_with_no_completed_trials_raises():
     store = toy_store()
-    space = tiny_space(embedding_dims=(0,))  # every trial fails to build
+    # ConvE has no even reshape of a 1-wide embedding: every trial fails to build
+    space = tiny_space(models=("conve",), embedding_dims=(1,))
     with pytest.raises(StudyError, match="no trial completed"):
         random_search(space, store, budget=Budget(max_trials=2),
                       eval_frequency=1, patience=2)
@@ -423,3 +492,5 @@ def test_threaded_study_matches_sequential_results():
     assert [r.status for r in seq.records] == [r.status for r in par.records]
     assert seq.best.trial_id == par.best.trial_id
     assert seq.test_metrics == par.test_metrics
+    # the winner's params are reused whichever thread finished first
+    assert seq.retrained is par.retrained is False

@@ -1,5 +1,6 @@
 """Config documents, run orchestration, and the artifacts a run leaves behind."""
 
+import copy
 import hashlib
 import json
 import os
@@ -8,16 +9,21 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from kgembed.datasets import TripleStore, add_inverse_relations
+from kgembed import training
+from kgembed.datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
+from kgembed.hpo import sample_config, trial_document
 from kgembed.models import load_checkpoint
 from kgembed.pipeline import (
     ConfigError,
     DataError,
     build_model,
+    build_training_config,
     execute_run,
     load_config,
     load_store,
+    load_study,
     normalize_config,
+    normalize_study,
     vocab_sha256,
 )
 
@@ -188,6 +194,141 @@ def test_build_model_wraps_spec_errors(data_dir, tmp_path):
         build_model(cfg, store)
 
 
+def test_load_study_errors(tmp_path):
+    with pytest.raises(ConfigError, match="study: cannot read"):
+        load_study(str(tmp_path / "none.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="study: expected a JSON object"):
+        load_study(str(bad))
+
+
+def full_run_doc(data_dir, out_dir):
+    """A run document that sets every field a config may set."""
+    return {
+        "dataset": minimal_doc(data_dir, out_dir)["dataset"],
+        "model": {"kind": "conve", "d_e": 8, "d_r": 8, "k": 8, "tau": 4,
+                  "kernel": [3, 3], "p": 2, "similarity": "kl", "c_min": 0.05,
+                  "c_max": 5.0, "conv_height": 4},
+        "training": {
+            "approach": "lcwa",
+            "loss": {"kind": "bcel", "margin": 2.0, "adversarial_temperature": 0.5},
+            "optimizer": {"kind": "adadelta", "learning_rate": 0.5},
+            "batch_size": 4, "num_epochs": 3, "num_negatives": 2,
+            "sampler": "bernoulli", "filtered_sampling": True,
+            "label_smoothing": 0.1,
+        },
+        "early_stopping": {"enabled": True, "frequency": 1, "patience": 2,
+                           "metric": "mrr"},
+        "inverse_relations": True,
+        "seed": 3,
+        "output_dir": str(out_dir),
+    }
+
+
+def full_study_doc(data_dir, out_dir):
+    """A study document that sets every field a study may set."""
+    return {
+        "dataset": minimal_doc(data_dir, out_dir)["dataset"],
+        "output_dir": str(out_dir),
+        "space": {"models": ["distmult", "conve"], "approaches": ["slcwa", "lcwa"],
+                  "embedding_dims": [4, 8], "optimizers": ["adam", "adadelta"],
+                  "learning_rate_range": [0.01, 0.1], "batch_sizes": [4],
+                  "inverse_choices": [False, True], "num_epochs": 2,
+                  "slcwa_losses": ["mrl", "nssal"], "lcwa_losses": ["cel"],
+                  "mrl_margins": [1, 2.5], "nssal_margins": [3.0],
+                  "adversarial_temperatures": [0.5], "negatives_range": [1, 4],
+                  "label_smoothing_range": [0.01, 0.1],
+                  "samplers": ["uniform", "bernoulli"]},
+        "budget": {"max_trials": 3, "max_seconds": 60, "trial_seconds": None},
+        "seed": 5, "metric": "mrr", "eval_frequency": 1, "patience": 2,
+        "workers": 1,
+    }
+
+
+FUZZ_VALUES = (None, True, "x", [1], {"a": 1}, float("nan"), 10**30)
+
+
+def _fuzz_paths(value, prefix=()):
+    """Every key and list position in a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _fuzz_paths(child, prefix + (key,))
+
+
+def fuzzed(doc, rng):
+    """doc with one to three fields deleted or given a value of another type."""
+    doc = copy.deepcopy(doc)
+    for _ in range(int(rng.integers(1, 4))):
+        paths = list(_fuzz_paths(doc))
+        if not paths:
+            break
+        *parents, key = paths[int(rng.integers(len(paths)))]
+        holder = doc
+        for p in parents:
+            holder = holder[p]
+        pick = int(rng.integers(len(FUZZ_VALUES) + 1))
+        if pick == len(FUZZ_VALUES):
+            del holder[key]
+        else:
+            holder[key] = copy.deepcopy(FUZZ_VALUES[pick])
+    return doc
+
+
+def test_fuzzed_run_documents_normalize_or_raise_config_error(data_dir, tmp_path):
+    base = full_run_doc(data_dir, tmp_path / "out")
+    store = load_store(normalize_config(base)["dataset"])
+    stores = {False: store, True: add_inverse_relations(store)}
+    rng = np.random.default_rng(20)
+    outcomes = {"normalized": 0, "rejected": 0, "built": 0}
+    for _ in range(1000):
+        try:
+            cfg = normalize_config(fuzzed(base, rng))
+        except ConfigError as e:
+            assert e.problems
+            outcomes["rejected"] += 1
+            continue
+        outcomes["normalized"] += 1
+        try:
+            build_model(cfg, stores[cfg["inverse_relations"]])
+            build_training_config(cfg)
+        except ConfigError as e:
+            assert e.problems
+            continue
+        outcomes["built"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def test_fuzzed_study_documents_normalize_or_raise_config_error(data_dir, tmp_path):
+    base = full_study_doc(data_dir, tmp_path / "out")
+    store = load_store(normalize_study(base)["dataset"])
+    stores = {False: store, True: add_inverse_relations(store)}
+    rng = np.random.default_rng(21)
+    outcomes = {"normalized": 0, "rejected": 0}
+    for _ in range(1000):
+        try:
+            study = normalize_study(fuzzed(base, rng))
+        except ConfigError as e:
+            assert e.problems
+            outcomes["rejected"] += 1
+            continue
+        outcomes["normalized"] += 1
+        # every trial of an accepted study is a valid run document, whose
+        # model builds or raises ConfigError
+        cfg = sample_config(study["space"], rng)
+        doc = trial_document(cfg, seed=0, eval_frequency=study["eval_frequency"],
+                             patience=study["patience"])
+        normalize_config(dict(doc, dataset=base["dataset"], output_dir="out"))
+        try:
+            build_model(doc, stores[doc["inverse_relations"]])
+            build_training_config(doc)
+        except ConfigError as e:
+            assert e.problems
+    assert min(outcomes.values()) > 50, outcomes
+
+
 # ---------------------------------------------------------------------------
 # vocabulary digest
 # ---------------------------------------------------------------------------
@@ -276,6 +417,35 @@ def test_execute_run_inverse_relations(data_dir, tmp_path):
     assert result["dataset"]["relations"] == 2  # base relations, not doubled
     spec, _, _ = load_checkpoint(result["paths"]["checkpoint"])
     assert spec.num_relations == 4
+
+
+@pytest.mark.parametrize("approach, stopping", [
+    ("slcwa", True), ("slcwa", False), ("lcwa", True)])
+def test_execute_run_builds_one_all_splits_index(data_dir, tmp_path, monkeypatch,
+                                                 approach, stopping):
+    # validation and the filtered test ranking share one index over all
+    # splits, built after the first epoch; LCWA adds its training-split one
+    events = []
+    init, epoch = FilterIndex.__init__, training.train_epoch
+
+    def counting_init(self, store, splits=SPLITS):
+        events.append(tuple(splits))
+        init(self, store, splits)
+
+    def logged_epoch(*args, **kwargs):
+        events.append("epoch")
+        return epoch(*args, **kwargs)
+
+    monkeypatch.setattr(FilterIndex, "__init__", counting_init)
+    monkeypatch.setattr(training, "train_epoch", logged_epoch)
+    doc = small_run_doc(data_dir, tmp_path / "run")
+    doc["early_stopping"]["enabled"] = stopping
+    if approach == "lcwa":
+        doc["training"].update(approach="lcwa", loss={"kind": "cel"})
+    execute_run(normalize_config(doc))
+    builds = [e for e in events if e != "epoch"]
+    assert builds == ([("train",)] if approach == "lcwa" else []) + [SPLITS]
+    assert events.index(SPLITS) > events.index("epoch")
 
 
 def test_execute_run_env_output_override(data_dir, tmp_path, monkeypatch):
