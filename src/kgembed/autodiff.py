@@ -16,8 +16,16 @@ a VJP's return value; it accumulates in place only into a buffer the sweep
 allocated itself (a copy of a view, or the sum made at a node's second
 contribution). Leaf gradients may alias each other or internal arrays and
 must be treated as read-only by their readers.
+
+Memory: a step's large temporaries are freed when its graph is dropped, and
+glibc would hand them back to the kernel, so the next step faults them in
+again. keep_heap() tells glibc to keep them; training.train and
+evaluation.compute_ranks call it.
 """
 
+import ctypes
+import functools
+import os
 import weakref
 
 import numpy as np
@@ -677,3 +685,59 @@ def finite_difference_check(build, point, step=1e-4):
             err = abs(ga[j] - numeric) / max(1.0, abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+# Temporaries up to this size stay in the heap, and the heap keeps this much
+# free memory above its top instead of trimming it. A 16 MiB pad was too small
+# for a Kinships sLCWA step; 64 MiB and 256 MiB were equally fast.
+HEAP_PAD = 64 << 20
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # mallopt parameters of glibc's <malloc.h>
+
+
+def _malloc_setting():
+    """The first environment variable that already tunes glibc's malloc."""
+    for name in sorted(os.environ):
+        if name.startswith("MALLOC_") or (
+                name == "GLIBC_TUNABLES" and "glibc.malloc." in os.environ[name]):
+            return name
+    return None
+
+
+@functools.cache
+def _keep_heap():
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        libc = None
+    record = {"libc": libc}
+    if libc is None:
+        return record
+    user = _malloc_setting()
+    if user:
+        record["skipped"] = user
+        return record
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # Both are needed. Any mallopt call freezes glibc's dynamic mmap threshold
+    # where it stands, so the pad alone still leaves 2 MiB arrays on mmaps of
+    # their own when the threshold has not grown yet.
+    for key, param in (("mmap_threshold", _M_MMAP_THRESHOLD), ("top_pad", _M_TOP_PAD)):
+        record[key] = HEAP_PAD if mallopt(param, HEAP_PAD) == 1 else None
+    return record
+
+
+def keep_heap():
+    """Keep freed step temporaries in the process's heap; once per process.
+
+    On glibc, sets M_MMAP_THRESHOLD and M_TOP_PAD to HEAP_PAD, so that the
+    arrays one training or ranking step frees are reused by the next step
+    instead of being returned to the kernel and faulted in again. Returns a
+    JSON-able record of what was done, e.g. {"libc": "glibc 2.36",
+    "mmap_threshold": 67108864, "top_pad": 67108864}; {"libc": None} on
+    other C libraries, and {"libc": ..., "skipped": name} when the
+    environment variable `name` (a MALLOC_* variable, or GLIBC_TUNABLES with
+    a glibc.malloc tunable) already tunes malloc, whose setting then stands.
+    Later calls return the same record and change nothing.
+    """
+    return dict(_keep_heap())

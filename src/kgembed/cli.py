@@ -11,7 +11,9 @@ Exit codes: 0 on success, 2 for configuration problems, 3 for data problems
 (missing or malformed files, vocabulary mismatches), 4 when training
 diverges or a study produces no completed trial. The only environment
 overrides are KGEMBED_OUTPUT_DIR (replaces every output directory) and
-KGEMBED_THREADS (HPO trial workers).
+KGEMBED_THREADS (HPO trial workers). On glibc, training and ranking tune the
+process's malloc once (autodiff.keep_heap); any MALLOC_* variable, or a
+glibc.malloc tunable in GLIBC_TUNABLES, wins over that tuning.
 """
 
 import argparse

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph
+from .autodiff import Graph, keep_heap
 from .datasets import FilterIndex, SPLITS
 
 HITS_LEVELS = (1, 3, 5, 10)
@@ -184,6 +184,7 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
     of building a FilterIndex over filter_splits; a caller that ranks the
     same store repeatedly builds it once and passes it every time.
     """
+    keep_heap()
     if use_inverse is None:
         use_inverse = store.inverse_augmented
     if use_inverse and not store.inverse_augmented:

@@ -23,7 +23,7 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .datasets import add_inverse_relations
 from .evaluation import rank_test_split
 from .losses import SLCWA_KINDS, LCWA_KINDS
-from .models import KINDS
+from .models import KINDS, MAX_WIDTH
 from .pipeline import build_model, train_run
 from .sampling import derive_seed, rng_for
 
@@ -109,8 +109,8 @@ class SearchSpace:
         if self.label_smoothing_range[1] > 1:
             raise ValueError("label_smoothing_range needs hi <= 1")
         lo, hi = self.negatives_range
-        if not (1 <= lo <= hi < 2**63 - 1):  # hi + 1 bounds an int64 draw
-            raise ValueError("negatives_range needs 1 <= lo <= hi < 2**63 - 1")
+        if not (1 <= lo <= hi <= MAX_WIDTH):
+            raise ValueError(f"negatives_range needs 1 <= lo <= hi <= {MAX_WIDTH}")
         for name in ("embedding_dims", "batch_sizes", "adversarial_temperatures"):
             if not all(v > 0 for v in getattr(self, name)):
                 raise ValueError(f"{name} must all be positive")
@@ -337,10 +337,11 @@ def random_search(space, store, *, budget=None, master_seed=0,
     they managed at least one evaluation. Zero completed trials is a
     StudyError.
 
-    With workers > 1 trials run in threads and are submitted eagerly, so the
-    wall-time budget acts through each trial's own deadline instead of
-    between trials. Results per trial are unchanged; only the cut point
-    moves.
+    Trial ids are drawn lazily, in order, skipping trials that already
+    finished; no trial starts once the study's wall-time budget is spent.
+    With workers > 1 trials run in threads, at most `workers` at a time, and
+    a running trial stops at its own deadline. Results per trial are
+    unchanged; only the cut point moves.
     """
     if store.inverse_augmented:
         raise ValueError("random_search wants the un-augmented store")
@@ -388,17 +389,32 @@ def random_search(space, store, *, budget=None, master_seed=0,
                  i, cfg["model"], cfg["loss"], cfg["approach"],
                  record.status, record.metric, record.wall_seconds)
 
+    def trial_ids():
+        for i in range(budget.max_trials):
+            if i in finished:
+                continue
+            if study_deadline and time.monotonic() >= study_deadline:
+                log.info("wall-time budget exhausted before trial %d", i)
+                return
+            yield i
+
     try:
-        pending = [i for i in range(budget.max_trials) if i not in finished]
         if workers <= 1:
-            for i in pending:
-                if study_deadline and time.monotonic() >= study_deadline:
-                    log.info("wall-time budget exhausted before trial %d", i)
-                    break
+            for i in trial_ids():
                 launch(i)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(launch, pending))
+                running = set()
+                for i in trial_ids():
+                    running.add(pool.submit(launch, i))
+                    # wait for a free worker before drawing the next id, so
+                    # the deadline is checked when that trial would start
+                    if len(running) == workers:
+                        done, running = wait(running, return_when=FIRST_COMPLETED)
+                        for future in done:
+                            future.result()
+                for future in running:
+                    future.result()
     finally:
         if records_file:
             records_file.close()

@@ -11,7 +11,9 @@ rank definitions, and writes four artifacts into the output directory:
     config.json       byte-for-byte copy of the validated input document
     trace.jsonl       one record per training epoch
     checkpoint.kge    model spec + parameters
-    result.json       config echo, dataset stats, metrics, paths, timing
+    result.json       config echo, dataset stats, metrics, paths, environment
+                      (CPU count, BLAS thread variables, allocator setting),
+                      versions, timing
 
 Environment overrides are deliberately limited to KGEMBED_OUTPUT_DIR and
 KGEMBED_THREADS; everything else lives in the document.
@@ -27,11 +29,12 @@ import time
 
 import numpy as np
 
+from .autodiff import keep_heap
 from .datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
 from .evaluation import make_validation_callback, rank_test_split
 from .losses import LossSpec, SLCWA_KINDS, LCWA_KINDS, KINDS as LOSS_KINDS
-from .models import (KINDS as MODEL_KINDS, InteractionSpec, build_interaction,
-                     init_parameters, save_checkpoint)
+from .models import (KINDS as MODEL_KINDS, MAX_WIDTH, InteractionSpec,
+                     build_interaction, init_parameters, save_checkpoint)
 from .sampling import derive_seed
 from .training import OptimizerSpec, TrainingConfig, train, utc_timestamp
 
@@ -83,7 +86,8 @@ _OPTIMIZER_FIELDS = {"kind": ("adam", _one_of("adam", "adadelta")),
 _TRAINING_FIELDS = {
     "batch_size": (256, _at_least(1)),
     "num_epochs": (1000, _at_least(1)),
-    "num_negatives": (32, _at_least(1)),
+    "num_negatives": (32, lambda v: None if 1 <= v <= MAX_WIDTH
+                      else f"must lie in [1, {MAX_WIDTH}]"),
     "sampler": ("uniform", _one_of("uniform", "bernoulli")),
     "filtered_sampling": (False, None),
     "label_smoothing": (0.0, lambda v: None if 0 <= v < 1 else "must lie in [0, 1)"),
@@ -375,6 +379,10 @@ def build_training_config(cfg):
         raise ConfigError([f"training: {e}"])
 
 
+# variables that set how many threads numpy's BLAS uses
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _dataset_stats(store):
     return {
         "entities": store.num_entities,
@@ -460,6 +468,11 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
             "config": os.path.abspath(config_path),
             "trace": os.path.abspath(trace_path),
             "checkpoint": os.path.abspath(checkpoint_path),
+        },
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARIABLES},
+            "allocator": keep_heap(),
         },
         "versions": {
             "kgembed": VERSION,

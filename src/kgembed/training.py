@@ -16,9 +16,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .autodiff import Graph
+from .autodiff import Graph, keep_heap
 from .datasets import FilterIndex
 from .losses import LossSpec, slcwa_loss, lcwa_loss, SLCWA_KINDS, LCWA_KINDS
+from .models import MAX_WIDTH
 from .sampling import NegativeSampler, LCWATask, slcwa_batches, lcwa_batches, rng_for
 
 log = logging.getLogger(__name__)
@@ -175,8 +176,8 @@ class TrainingConfig:
             raise ValueError(
                 f"loss {self.loss.kind!r} cannot be trained under {self.approach}"
             )
-        if self.approach == "slcwa" and self.num_negatives < 1:
-            raise ValueError("need at least one negative per positive")
+        if self.approach == "slcwa" and not 1 <= self.num_negatives <= MAX_WIDTH:
+            raise ValueError(f"num_negatives must lie in [1, {MAX_WIDTH}]")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
         if self.patience < self.eval_frequency:
@@ -303,6 +304,7 @@ def train(model, params, store, config, evaluate_fn=None, trace_path=None,
     deadline is a time.monotonic() timestamp; once an epoch finishes past
     it, training stops at that boundary (an epoch is never cut short).
     """
+    keep_heap()
     rng = rng_for(config.seed, "training")
     optimizer = make_optimizer(config.optimizer, params)
     sampler = task = None

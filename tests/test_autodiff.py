@@ -1,9 +1,15 @@
 """The autodiff engine against numpy forward oracles and finite differences."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from kgembed.autodiff import Graph, finite_difference_check
+from kgembed.autodiff import HEAP_PAD, Graph, finite_difference_check
 
 
 def rng_seq(seed=0):
@@ -564,3 +570,114 @@ def test_softmax_xent_rejects_mismatched_operands():
         g.softmax_xent(x, np.ones((2, 4)) / 4)
     with pytest.raises(ValueError, match="same shape"):
         g.softmax_xent(g.leaf(np.zeros(3)), np.ones(3) / 3)
+
+
+# ---------------------------------------------------------------------------
+# the allocator setting (process-wide, so each case runs in a fresh process)
+# ---------------------------------------------------------------------------
+
+def _glibc():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION") is not None
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+needs_glibc = pytest.mark.skipif(not _glibc(), reason="the setting is glibc's")
+
+
+def run_child(script, **env):
+    """The JSON printed last by `script`, run in a fresh interpreter whose
+    environment sets no malloc tunable besides `env`."""
+    child = {k: v for k, v in os.environ.items()
+             if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    child.update(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                 MKL_NUM_THREADS="1",
+                 PYTHONPATH=os.pathsep.join(filter(None, [src, child.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=child,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LCWA_FAULTS = """
+import json, resource
+import numpy as np
+from kgembed import training
+from kgembed.datasets import TripleStore
+from kgembed.losses import LossSpec
+from kgembed.models import InteractionSpec, build_interaction, init_parameters
+
+ids = np.random.default_rng(0).integers(0, (600, 8, 600), size=(9000, 3))
+store = TripleStore.from_labeled_triples([(f"e{h}", f"r{r}", f"e{t}") for h, r, t in ids])
+model = build_interaction(InteractionSpec(
+    kind="distmult", num_entities=store.num_entities,
+    num_relations=store.num_relations, d_e=64))
+config = training.TrainingConfig(approach="lcwa", loss=LossSpec("cel"), batch_size=256,
+                                 num_epochs=3, label_smoothing=0.1)
+faults, epoch = [], training.train_epoch
+
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = epoch(*args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+
+training.train_epoch = counted
+training.train(model, init_parameters(model, 0), store, config)
+print(json.dumps(faults))
+"""
+
+# keep_heap twice, against a C library that records its mallopt calls
+MALLOPT_CALLS = """
+import ctypes, json
+from kgembed.autodiff import keep_heap
+
+calls = []
+
+class Mallopt:
+    def __call__(self, param, value):
+        calls.append([param, value])
+        return 1
+
+class Libc:
+    mallopt = Mallopt()
+
+ctypes.CDLL = lambda name: Libc()
+first = keep_heap()
+after_first = list(calls)
+print(json.dumps({"first": first, "second": keep_heap(), "calls": after_first,
+                  "later_calls": calls[len(after_first):]}))
+"""
+
+
+@needs_glibc
+def test_lcwa_epochs_after_the_first_do_not_fault():
+    # without the setting, each step's (B, E) temporaries were trimmed off the
+    # heap top and faulted in again: tens of thousands of faults per epoch
+    faults = run_child(LCWA_FAULTS)
+    assert len(faults) == 3
+    assert sum(faults[1:]) < 1000, faults
+
+
+@needs_glibc
+def test_keep_heap_sets_both_parameters_once():
+    out = run_child(MALLOPT_CALLS)
+    assert out["first"] == {"libc": os.confstr("CS_GNU_LIBC_VERSION"),
+                            "mmap_threshold": HEAP_PAD, "top_pad": HEAP_PAD}
+    assert out["calls"] == [[-3, HEAP_PAD], [-2, HEAP_PAD]]
+    assert out["second"] == out["first"]
+    assert out["later_calls"] == []
+
+
+@needs_glibc
+@pytest.mark.parametrize("name, value", [
+    ("MALLOC_TOP_PAD_", "131072"),
+    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+])
+def test_a_users_malloc_setting_wins(name, value):
+    out = run_child(MALLOPT_CALLS, **{name: value})
+    assert out["first"] == {"libc": os.confstr("CS_GNU_LIBC_VERSION"), "skipped": name}
+    assert out["second"] == out["first"]
+    assert out["calls"] == out["later_calls"] == []

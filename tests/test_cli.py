@@ -196,6 +196,18 @@ def test_train_oversized_model_exits_2(tmp_path, capsys, kind):
     assert "config error: model: d_e must lie in [1, 2147483647]" in capsys.readouterr().err
 
 
+def test_train_too_many_negatives_exits_2(tmp_path, capsys):
+    # the sampler's first draw ended in an OverflowError traceback
+    data = write_dataset(tmp_path / "data")
+    doc = run_config(data, tmp_path / "out")
+    doc["training"]["num_negatives"] = 10**30
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(doc))
+    assert main(["train", str(p)]) == 2
+    assert ("config error: training.num_negatives: must lie in [1, 2147483647]"
+            in capsys.readouterr().err)
+
+
 def test_train_env_output_dir_override(tmp_path, capsys, monkeypatch):
     data = write_dataset(tmp_path / "data")
     p = tmp_path / "run.json"

@@ -1,6 +1,7 @@
 """Random search: spaces, sampling, trial execution, resume, best selection."""
 
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -21,7 +22,7 @@ from kgembed.hpo import (
     sample_config,
     trial_document,
 )
-from kgembed.models import load_checkpoint
+from kgembed.models import MAX_WIDTH, load_checkpoint
 from kgembed.pipeline import (build_model, build_training_config, execute_run,
                               normalize_config)
 from kgembed.sampling import derive_seed, rng_for
@@ -99,6 +100,8 @@ def test_search_space_validation():
         SearchSpace(learning_rate_range=(0.1, 0.1))
     with pytest.raises(ValueError, match="negatives_range"):
         SearchSpace(negatives_range=(0, 10))
+    with pytest.raises(ValueError, match="negatives_range"):
+        SearchSpace(negatives_range=(1, MAX_WIDTH + 1))
     with pytest.raises(ValueError, match="num_epochs"):
         SearchSpace(num_epochs=0)
     with pytest.raises(ValueError, match="num_epochs must be a positive integer"):
@@ -414,6 +417,23 @@ def test_exhausted_study_budget_prevents_new_trials():
             budget=Budget(max_trials=2, max_seconds=1e-9),
             eval_frequency=1, patience=2,
         )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_huge_trial_cap_stops_at_the_study_deadline(tmp_path, workers):
+    # trial ids are drawn lazily, and no trial starts past the deadline
+    store = TripleStore.from_directory(pathlib.Path(__file__).parent.parent / "data" / "nations")
+    path = tmp_path / "trials.jsonl"
+    t0 = time.monotonic()
+    try:
+        random_search(tiny_space(num_epochs=1), store,
+                      budget=Budget(max_trials=10**30, max_seconds=0.05),
+                      eval_frequency=1, patience=1, records_path=str(path),
+                      workers=workers)
+    except StudyError as e:  # the one trial may have been cut by the deadline
+        assert "no trial completed" in str(e)
+    assert time.monotonic() - t0 < 30
+    assert 1 <= len(path.read_text().splitlines()) <= workers
 
 
 def test_records_stream_and_resume(tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kgembed import training
+from kgembed.autodiff import keep_heap
 from kgembed.datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
 from kgembed.hpo import sample_config, trial_document
 from kgembed.models import load_checkpoint
@@ -102,14 +103,16 @@ def test_normalize_collects_every_problem(data_dir, tmp_path):
     doc["model"]["kind"] = "holography"
     doc["training"]["loss"]["kind"] = "quantile"
     doc["training"]["batch_size"] = 0
+    doc["training"]["num_negatives"] = 10**30
     with pytest.raises(ConfigError) as e:
         normalize_config(doc)
     text = "\n".join(e.value.problems)
-    assert len(e.value.problems) == 4
+    assert len(e.value.problems) == 5
     assert "dataset.train: no such file" in text
     assert "model.kind: unknown interaction kind 'holography'" in text
     assert "training.loss.kind: unknown loss kind 'quantile'" in text
     assert "training.batch_size" in text
+    assert "training.num_negatives: must lie in [1, 2147483647]" in text
 
 
 def test_normalize_rejects_unknown_fields(data_dir, tmp_path):
@@ -381,6 +384,13 @@ def test_execute_run_writes_all_artifacts(data_dir, tmp_path):
         "triples": {"train": 9, "valid": 2, "test": 2},
     }
     assert result["versions"]["numpy"] == np.__version__
+    env = result["environment"]
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["blas_threads"] == {
+        v: os.environ.get(v)
+        for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    assert env["allocator"] == keep_heap() and "libc" in env["allocator"]
+    assert on_disk["environment"] == env
     for p in result["paths"].values():
         assert os.path.isabs(p) and os.path.exists(p)
 

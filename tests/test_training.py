@@ -7,7 +7,7 @@ import pytest
 
 from kgembed.datasets import SPLITS, FilterIndex, TripleStore
 from kgembed.losses import LossSpec
-from kgembed.models import InteractionSpec, build_interaction, init_parameters
+from kgembed.models import MAX_WIDTH, InteractionSpec, build_interaction, init_parameters
 from kgembed.training import (
     Adadelta,
     Adam,
@@ -174,6 +174,8 @@ def test_training_config_rejects_incompatible_loss():
         TrainingConfig(approach="full-batch")
     with pytest.raises(ValueError, match="negative"):
         TrainingConfig(approach="slcwa", num_negatives=0)
+    with pytest.raises(ValueError, match="num_negatives must lie in"):
+        TrainingConfig(approach="slcwa", num_negatives=MAX_WIDTH + 1)
     with pytest.raises(ValueError, match="batch size"):
         TrainingConfig(batch_size=0)
     with pytest.raises(ValueError, match="never fires"):
