@@ -14,7 +14,10 @@ was handed (`add` gives the same `g` to both parents), and returns None for a
 parent that does not require a gradient. backward therefore never writes into
 a VJP's return value; it accumulates in place only into a buffer the sweep
 allocated itself (a copy of a view, or the sum made at a node's second
-contribution). Leaf gradients may alias each other or internal arrays and
+contribution). An inner node keeps a C-contiguous view as it is: reshapes
+hand such views down every (B, N, ...) score, and a copy there would be one
+more array per step; a strided view is copied, since the VJPs that read it
+run slower on it. Leaf gradients may alias each other or internal arrays and
 must be treated as read-only by their readers.
 
 Memory: a step's large temporaries are freed when its graph is dropped, and
@@ -101,6 +104,39 @@ def _einsum2_validate(spec):
     return a, b, out
 
 
+@functools.lru_cache(maxsize=4096)
+def _einsum_plan(sa, sb, so, shape_a, shape_b):
+    """The numpy spec, operand shapes and result shape of _einsum."""
+    size = {}
+    for labels, shape in ((sa, shape_a), (sb, shape_b)):
+        for label, n in zip(labels, shape):
+            if n != 1 or label not in size:
+                size[label] = n
+
+    def squeeze(labels, shape):
+        keep = [i for i, (label, n) in enumerate(zip(labels, shape))
+                if n != 1 or (label not in so and size[label] != 1)]
+        return "".join(labels[i] for i in keep), tuple(shape[i] for i in keep)
+
+    (ka, shape_a), (kb, shape_b) = squeeze(sa, shape_a), squeeze(sb, shape_b)
+    ko = "".join(label for label in so if size[label] != 1)
+    return f"{ka},{kb}->{ko}", shape_a, shape_b, tuple(size[label] for label in so)
+
+
+def _einsum(sa, sb, so, a, b):
+    """np.einsum(f"{sa},{sb}->{so}", a, b) where size-1 axes broadcast.
+
+    An axis of size 1 whose label is kept in the output, or has size 1 in
+    both operands, is dropped before numpy sees it and restored by a reshape
+    of the result. numpy leaves BLAS for a contraction in which a label has
+    size 1 everywhere, and a broadcast label shared by both operands keeps
+    it off BLAS too: "bnij,bnj->bni" on (B, 1, d, d) and (1, E, d) operands
+    becomes the tensordot "bij,nj->bni".
+    """
+    spec, shape_a, shape_b, shape = _einsum_plan(sa, sb, so, a.shape, b.shape)
+    return np.einsum(spec, a.reshape(shape_a), b.reshape(shape_b), optimize=True).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # forward implementations, keyed by op kind
 # ---------------------------------------------------------------------------
@@ -119,9 +155,9 @@ _FORWARD = {
     "div": lambda at, a, b: a / b,
     "neg": lambda at, a: -a,
     "matmul": lambda at, a, b: a @ b,
-    "einsum2": lambda at, a, b: np.einsum(at["spec"], a, b, optimize=True),
+    "einsum2": lambda at, a, b: _einsum(*at["_parts"], a, b),
     "transpose": lambda at, a: np.transpose(a, at["axes"]),
-    "reshape": lambda at, a: np.reshape(a, at["shape"]),
+    "reshape": lambda at, a: a.reshape(at["shape"]),
     "concat": lambda at, *xs: np.concatenate(xs, axis=at["axis"]),
     "slice": lambda at, a: a[at["key"]],
     "gather": lambda at, a: np.take(a, at["indices"], axis=0),
@@ -213,18 +249,32 @@ def _vjp_matmul(g, node, a, b):
             a.T @ g if pb.requires_grad else None)
 
 
+def _einsum_into(s1, s2, target, x, y, shape):
+    """The einsum of x and y into an operand's labels `target` and `shape`:
+    the axes the operand broadcast (size 1 in `shape`) are summed inside the
+    contraction, so the broadcast gradient is never materialised."""
+    kept = "".join(label for label, n in zip(target, shape) if n != 1)
+    return _einsum(s1, s2, kept, x, y).reshape(shape)
+
+
 def _vjp_einsum2(g, node, a, b):
     sa, sb, so = node.attrs["_parts"]
     pa, pb = node.parents
-    ga = np.einsum(f"{so},{sb}->{sa}", g, b, optimize=True) if pa.requires_grad else None
-    gb = np.einsum(f"{sa},{so}->{sb}", a, g, optimize=True) if pb.requires_grad else None
+    ga = _einsum_into(so, sb, sa, g, b, a.shape) if pa.requires_grad else None
+    gb = _einsum_into(sa, so, sb, a, g, b.shape) if pb.requires_grad else None
     return ga, gb
 
 
 def _vjp_concat(g, node, *xs):
-    axis = node.attrs["axis"]
-    sizes = [x.shape[axis] for x in xs]
-    return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+    # basic slices, not np.split: the split's Python overhead is a concat's
+    # whole cost at the (B, N, d) sizes of a scoring step
+    lead = (slice(None),) * (node.attrs["axis"] % g.ndim)
+    grads, start = [], 0
+    for x in xs:
+        stop = start + x.shape[len(lead)]
+        grads.append(g[lead + (slice(start, stop),)])
+        start = stop
+    return tuple(grads)
 
 
 def _vjp_slice(g, node, a):
@@ -240,31 +290,33 @@ def _vjp_gather(g, node, a):
     return (np.bincount(bins, weights=g.reshape(-1), minlength=a.size).reshape(a.shape),)
 
 
-def _expand_reduced(g, x_shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, x_shape)
-    if not keepdims:
-        g = np.expand_dims(g, axis=axis)
-    return np.broadcast_to(g, x_shape)
+def _expand_reduced(g, axis, keepdims):
+    """g with the axes a reduction removed put back at size 1, so that it
+    broadcasts against the reduction's input."""
+    return g if axis is None or keepdims else np.expand_dims(g, axis=axis)
 
 
 def _vjp_sum(g, node, a):
-    at = node.attrs
-    return (_expand_reduced(g, a.shape, at["axis"], at["keepdims"]).copy(),)
+    # copyto broadcasts into a fresh buffer, twice as fast as copying a
+    # broadcast_to view at the (B, N, d) sizes of a scoring step
+    out = np.empty(a.shape)
+    np.copyto(out, _expand_reduced(g, node.attrs["axis"], node.attrs["keepdims"]))
+    return (out,)
 
 
 def _vjp_mean(g, node, a):
     at = node.attrs
     count = a.size if at["axis"] is None else a.shape[at["axis"]]
-    return (_expand_reduced(g, a.shape, at["axis"], at["keepdims"]) / count,)
+    return (np.divide(_expand_reduced(g, at["axis"], at["keepdims"]), count,
+                      out=np.empty(a.shape)),)
 
 
 def _vjp_pnorm(g, node, a):
     at = node.attrs
-    gg = _expand_reduced(g, a.shape, at["axis"], at["keepdims"])
+    gg = _expand_reduced(g, at["axis"], at["keepdims"])
     if at["p"] == 1:
         return (gg * np.sign(a),)  # sign(0) = 0: the chosen L1 subgradient
-    y = _expand_reduced(node.value, a.shape, at["axis"], at["keepdims"])
+    y = _expand_reduced(node.value, at["axis"], at["keepdims"])
     return (gg * a / np.maximum(y, _TINY),)
 
 
@@ -276,7 +328,7 @@ def _vjp_softmax(g, node, a):
 
 def _vjp_logsumexp(g, node, a):
     at = node.attrs
-    gg = _expand_reduced(g, a.shape, at["axis"], at["keepdims"])
+    gg = _expand_reduced(g, at["axis"], at["keepdims"])
     m = np.max(a, axis=at["axis"], keepdims=True)
     e = np.exp(a - m)
     return (gg * e / np.sum(e, axis=at["axis"], keepdims=True),)
@@ -601,7 +653,8 @@ class Graph:
                 if pg is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    if pg.base is not None:
+                    if pg.base is not None and (parent.op == "leaf"
+                                                or not pg.flags.c_contiguous):
                         pg = pg.copy()
                         owned.add(parent.id)
                     parent.grad = pg

@@ -3,18 +3,28 @@
 Every model follows the same conventions:
   * parameters live in an ordered dict of named float64 arrays
   * scores are higher-is-better for every kind; distance-based models return
-    negated distances
+    negated distances, and models with a probabilistic reading return the
+    logit, never a sigmoid
   * score_triples builds graph nodes for a batch of id triples, so the same
     code path serves training (with gradients) and evaluation (without)
   * score_tails / score_heads return a (batch, num_entities) score matrix and
-    must agree with the scalar path to 1e-10; models override the generic
-    implementation where the algebra factorizes into something cheaper
+    must agree with the scalar path to 1e-10
+
+Each model states its score once, and the base classes derive all three
+paths from it. A model names the tables it reads (`entity_tables`,
+`relation_tables`) and either defines `interaction(g, P, h, r, t)` over
+representations shaped (B, N, ...) that broadcast against each other (N = 1
+for single triples, E for the candidate side), or, when its score is an
+inner product <q(h, r), k(t)>, derives from ContextInteraction and defines
+`tail_query`, optionally `head_query` and `keys`, so that both all-entity
+sides are one matmul.
 
 Dimensions follow the usual conventions: d_e entity dim, d_r relation dim,
 k an extra per-kind width (TransD projection size, NTN slice count, ERMLP
 hidden width).
 """
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field, asdict
@@ -172,30 +182,67 @@ def init_parameters(model, seed):
 # shared graph helpers
 # ---------------------------------------------------------------------------
 
-def _rowdot(g, a, b):
-    return g.einsum("bd,bd->b", a, b)
+def _translation(h, r, t):
+    """h + r - t, with r added to the side of fewer rows (B, 1 against 1, E):
+    one operation then builds the (B, E, ...) difference."""
+    return h + (r - t) if h.shape[1] > t.shape[1] else h + r - t
 
 
-def _neg_sq_norm(g, diff, axis=-1):
-    return -g.square(diff).sum(axis=axis)
+def _column(x):
+    """A (..., n) node as (..., n, 1)."""
+    return x.reshape(x.shape + (1,))
 
 
-def _ids(x):
-    return np.asarray(x, dtype=np.intp).reshape(-1)
+def _linear(g, xs, weight, contract, bias):
+    """bias + sum of contract(x, w) over the operands x of `xs` and their
+    blocks w of `weight`'s last axis. Consecutive operands of one shape meet
+    their joint block in one contraction, and the terms are added smallest
+    first, so one addition builds the (B, E, ...) sum."""
+    parts, start = [bias], 0
+    for _, run in itertools.groupby(xs, key=lambda x: x.shape):
+        run = list(run)
+        stop = start + len(run) * run[0].shape[-1]
+        x = run[0] if len(run) == 1 else g.concat(run, axis=-1)
+        parts.append(contract(x, weight if len(run) == len(xs) else weight[..., start:stop]))
+        start = stop
+    parts.sort(key=lambda p: p.value.size)
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
+def _one(nodes):
+    """A representation: the node of a model's one table, or their tuple."""
+    nodes = tuple(nodes)
+    return nodes[0] if len(nodes) == 1 else nodes
+
+
+def _rows(g, P, names, ids):
+    """(B, 1, ...) rows of the named tables at the B ids."""
+    ids = np.asarray(ids, dtype=np.intp).reshape((-1, 1))
+    return _one(g.gather(P[n], ids) for n in names)
 
 
 class Interaction:
-    """Base class: generic all-entity scoring and numpy conveniences."""
+    """Base class: the three scoring paths of one broadcasting score.
+
+    `interaction(g, P, h, r, t)` returns the (B, N) scores of (B, N, ...)
+    representations: (B, 1, ...) rows of the id triples, or (1, E, ...)
+    views of whole tables on the candidate side.
+    """
 
     kind = None
     score_clamp = None  # (lo, hi) applied in the loss path only
+    entity_tables = ("entity",)
+    relation_tables = ("relation",)
 
     def __init__(self, spec):
         if spec.kind != self.kind:
             raise ValueError(f"spec kind {spec.kind!r} does not match model {self.kind!r}")
         self.spec = spec
 
-    # subclasses provide: tensor_specs, parameter_count, score_triples
+    # subclasses provide: tensor_specs, parameter_count, interaction
 
     def leaves(self, g, params, trainable=True):
         """Register every parameter tensor as a leaf of `g`."""
@@ -204,32 +251,29 @@ class Interaction:
     def project_parameters(self, params):
         """In-place constraint hook applied after every optimizer step."""
 
+    def _entities(self, g, P, ids=None):
+        """(B, 1, ...) rows at `ids`, or with ids None (1, E, ...) views."""
+        if ids is None:
+            return _one(P[n].reshape((1,) + P[n].shape) for n in self.entity_tables)
+        return _rows(g, P, self.entity_tables, ids)
+
+    def _relations(self, g, P, ids):
+        return _rows(g, P, self.relation_tables, ids)
+
+    def score_triples(self, g, P, h_ids, r_ids, t_ids):
+        """(B,) scores of id triples, as a graph node."""
+        h, t = self._entities(g, P, h_ids), self._entities(g, P, t_ids)
+        return self.interaction(g, P, h, self._relations(g, P, r_ids), t).reshape((-1,))
+
     def score_tails(self, g, P, h_ids, r_ids):
-        """(B, E) scores for every candidate tail. Generic fallback scores
-        all B*E triples through the scalar path."""
-        E = self.spec.num_entities
-        h_ids, r_ids = _ids(h_ids), _ids(r_ids)
-        B = h_ids.shape[0]
-        s = self.score_triples(
-            g, P,
-            np.repeat(h_ids, E),
-            np.repeat(r_ids, E),
-            np.tile(np.arange(E, dtype=np.intp), B),
-        )
-        return s.reshape((B, E))
+        """(B, E) scores for every candidate tail."""
+        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)
+        return self.interaction(g, P, h, r, self._entities(g, P))
 
     def score_heads(self, g, P, r_ids, t_ids):
-        """(B, E) scores for every candidate head; generic fallback."""
-        E = self.spec.num_entities
-        r_ids, t_ids = _ids(r_ids), _ids(t_ids)
-        B = r_ids.shape[0]
-        s = self.score_triples(
-            g, P,
-            np.tile(np.arange(E, dtype=np.intp), B),
-            np.repeat(r_ids, E),
-            np.repeat(t_ids, E),
-        )
-        return s.reshape((B, E))
+        """(B, E) scores for every candidate head."""
+        r, t = self._relations(g, P, r_ids), self._entities(g, P, t_ids)
+        return self.interaction(g, P, self._entities(g, P), r, t)
 
     # ----- numpy conveniences (no gradients) --------------------------------
 
@@ -257,6 +301,60 @@ class Interaction:
         return self.score_heads(g, P, [r], [t]).value[0]
 
 
+class ContextInteraction(Interaction):
+    """Models whose score is <q(h, r), k(t)> + c: both all-entity sides are
+    one matmul against the (E, d') key table.
+
+    A model defines `tail_query(g, P, h, r)`, optionally `head_query(g, P, r,
+    t)` with score(e, r, t) = <head_query, k(e)> + c, and optionally
+    `keys(g, P, e)`, the entity representation itself by default. A query is
+    a (B, N, d') node, or a pair (query, c) whose c broadcasts to (B, N).
+    `entity_bias` names an (E,) table added to each candidate tail's score.
+    Without a head query, the head side scores the tail query of every
+    candidate head.
+    """
+
+    entity_bias = None
+    head_query = None
+
+    def keys(self, g, P, e):
+        return e
+
+    def _scores(self, g, P, query, t=None, t_ids=None):
+        """(B, N) scores of a query against the keys of (B, 1) tails t, or
+        with t None, against every entity's keys in one matmul."""
+        q, c = query if isinstance(query, tuple) else (query, None)
+        if t is None:
+            # the (E, ...) tables themselves, not (1, E, ...) views: the
+            # gradient then reaches them without another copy
+            K = self.keys(g, P, _one(P[n] for n in self.entity_tables))
+            s = q.reshape((q.shape[0], K.shape[1])) @ K.T
+        else:
+            s = (q * self.keys(g, P, t)).sum(axis=-1)
+        if c is not None:
+            s = s + c
+        if self.entity_bias is not None:
+            names = (self.entity_bias,)
+            s = s + (P[self.entity_bias] if t_ids is None else _rows(g, P, names, t_ids))
+        return s
+
+    def score_triples(self, g, P, h_ids, r_ids, t_ids):
+        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)
+        t = self._entities(g, P, t_ids)
+        return self._scores(g, P, self.tail_query(g, P, h, r), t, t_ids).reshape((-1,))
+
+    def score_tails(self, g, P, h_ids, r_ids):
+        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)
+        return self._scores(g, P, self.tail_query(g, P, h, r))
+
+    def score_heads(self, g, P, r_ids, t_ids):
+        r, t = self._relations(g, P, r_ids), self._entities(g, P, t_ids)
+        if self.head_query is None:
+            query = self.tail_query(g, P, self._entities(g, P), r)
+            return self._scores(g, P, query, t, t_ids)
+        return self._scores(g, P, self.head_query(g, P, r, t), t_ids=t_ids)
+
+
 # ---------------------------------------------------------------------------
 # the nineteen interaction models
 # ---------------------------------------------------------------------------
@@ -265,6 +363,7 @@ class UM(Interaction):
     """Unstructured model: -||h - t||^2. Ignores the relation entirely."""
 
     kind = "um"
+    relation_tables = ()
 
     def tensor_specs(self):
         s = self.spec
@@ -274,20 +373,8 @@ class UM(Interaction):
         s = self.spec
         return s.num_entities * s.d_e
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        return _neg_sq_norm(g, h - t, axis=1)
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        diff = h.reshape((h.shape[0], 1, self.spec.d_e)) - P["entity"]
-        return _neg_sq_norm(g, diff)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        t = g.gather(P["entity"], _ids(t_ids))
-        diff = P["entity"] - t.reshape((t.shape[0], 1, self.spec.d_e))
-        return _neg_sq_norm(g, diff)
+    def interaction(self, g, P, h, r, t):
+        return -g.square(h - t).sum(axis=-1)
 
 
 class SE(Interaction):
@@ -295,6 +382,7 @@ class SE(Interaction):
     matrices per relation."""
 
     kind = "se"
+    relation_tables = ("m_head", "m_tail")
 
     def tensor_specs(self):
         s = self.spec
@@ -308,34 +396,11 @@ class SE(Interaction):
         s = self.spec
         return s.num_entities * s.d_e + 2 * s.num_relations * s.d_e * s.d_e
 
-    def _project(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        mh = g.gather(P["m_head"], _ids(r_ids))
-        mt = g.gather(P["m_tail"], _ids(r_ids))
-        return g.einsum("bij,bj->bi", mh, h), g.einsum("bij,bj->bi", mt, t)
-
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        u, v = self._project(g, P, h_ids, r_ids, t_ids)
-        return -g.pnorm(u - v, p=1, axis=1)
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        mh = g.gather(P["m_head"], _ids(r_ids))
-        mt = g.gather(P["m_tail"], _ids(r_ids))
-        u = g.einsum("bij,bj->bi", mh, h)
-        v = g.einsum("bij,ej->bei", mt, P["entity"])
-        diff = u.reshape((u.shape[0], 1, self.spec.d_e)) - v
-        return -g.pnorm(diff, p=1, axis=-1)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        t = g.gather(P["entity"], _ids(t_ids))
-        mh = g.gather(P["m_head"], _ids(r_ids))
-        mt = g.gather(P["m_tail"], _ids(r_ids))
-        v = g.einsum("bij,bj->bi", mt, t)
-        u = g.einsum("bij,ej->bei", mh, P["entity"])
-        diff = u - v.reshape((v.shape[0], 1, self.spec.d_e))
-        return -g.pnorm(diff, p=1, axis=-1)
+    def interaction(self, g, P, h, r, t):
+        mh, mt = r
+        u = g.einsum("bnij,bnj->bni", mh, h)
+        v = g.einsum("bnij,bnj->bni", mt, t)
+        return -g.pnorm(u - v, p=1, axis=-1)
 
 
 class TransE(Interaction):
@@ -354,25 +419,8 @@ class TransE(Interaction):
         s = self.spec
         return s.num_entities * s.d_e + s.num_relations * s.d_e
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        return -g.pnorm(h + r - t, p=self.spec.p, axis=1)
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        hr = h + r
-        diff = hr.reshape((hr.shape[0], 1, self.spec.d_e)) - P["entity"]
-        return -g.pnorm(diff, p=self.spec.p, axis=-1)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        rt = r - t
-        diff = P["entity"] + rt.reshape((rt.shape[0], 1, self.spec.d_e))
-        return -g.pnorm(diff, p=self.spec.p, axis=-1)
+    def interaction(self, g, P, h, r, t):
+        return -g.pnorm(_translation(h, r, t), p=self.spec.p, axis=-1)
 
 
 class TransH(Interaction):
@@ -383,6 +431,7 @@ class TransH(Interaction):
     """
 
     kind = "transh"
+    relation_tables = ("normal", "translation")
 
     def tensor_specs(self):
         s = self.spec
@@ -396,46 +445,19 @@ class TransH(Interaction):
         s = self.spec
         return s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
 
-    def _unit_normal(self, g, P, r_ids):
-        w = g.gather(P["normal"], _ids(r_ids))
-        return w / g.pnorm(w, p=2, axis=1, keepdims=True)
-
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        d = g.gather(P["translation"], _ids(r_ids))
-        w = self._unit_normal(g, P, r_ids)
-        h_p = h - g.einsum("bd,bd->b", w, h).reshape((-1, 1)) * w
-        t_p = t - g.einsum("bd,bd->b", w, t).reshape((-1, 1)) * w
-        return _neg_sq_norm(g, h_p + d - t_p, axis=1)
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        d = g.gather(P["translation"], _ids(r_ids))
-        w = self._unit_normal(g, P, r_ids)
-        B, de = h.shape[0], self.spec.d_e
-        h_p = h - g.einsum("bd,bd->b", w, h).reshape((-1, 1)) * w
-        dots = g.einsum("ed,bd->be", P["entity"], w)  # (B, E) of w_b . e
-        t_p = P["entity"] - dots.reshape((B, -1, 1)) * w.reshape((B, 1, de))
-        diff = (h_p + d).reshape((B, 1, de)) - t_p
-        return _neg_sq_norm(g, diff)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        t = g.gather(P["entity"], _ids(t_ids))
-        d = g.gather(P["translation"], _ids(r_ids))
-        w = self._unit_normal(g, P, r_ids)
-        B, de = t.shape[0], self.spec.d_e
-        t_p = t - g.einsum("bd,bd->b", w, t).reshape((-1, 1)) * w
-        dots = g.einsum("ed,bd->be", P["entity"], w)
-        h_p = P["entity"] - dots.reshape((B, -1, 1)) * w.reshape((B, 1, de))
-        diff = h_p + (d - t_p).reshape((B, 1, de))
-        return _neg_sq_norm(g, diff)
+    def interaction(self, g, P, h, r, t):
+        w, d = r
+        w = w / g.pnorm(w, p=2, axis=-1, keepdims=True)
+        def project(x):
+            return x - _column(g.einsum("bnd,bnd->bn", x, w)) * w
+        return -g.square(_translation(project(h), d, project(t))).sum(axis=-1)
 
 
 class TransR(Interaction):
     """Translation after a relation-specific linear map into R^{d_r}."""
 
     kind = "transr"
+    relation_tables = ("relation", "projection")
 
     def tensor_specs(self):
         s = self.spec
@@ -453,32 +475,11 @@ class TransR(Interaction):
             + s.num_relations * s.d_r * s.d_e
         )
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        M = g.gather(P["projection"], _ids(r_ids))
-        h_p = g.einsum("bij,bj->bi", M, h)
-        t_p = g.einsum("bij,bj->bi", M, t)
-        return _neg_sq_norm(g, h_p + r - t_p, axis=1)
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        M = g.gather(P["projection"], _ids(r_ids))
-        h_p = g.einsum("bij,bj->bi", M, h)
-        t_p = g.einsum("bij,ej->bei", M, P["entity"])
-        diff = (h_p + r).reshape((h_p.shape[0], 1, self.spec.d_r)) - t_p
-        return _neg_sq_norm(g, diff)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        t = g.gather(P["entity"], _ids(t_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        M = g.gather(P["projection"], _ids(r_ids))
-        t_p = g.einsum("bij,bj->bi", M, t)
-        h_p = g.einsum("bij,ej->bei", M, P["entity"])
-        diff = h_p + (r - t_p).reshape((t_p.shape[0], 1, self.spec.d_r))
-        return _neg_sq_norm(g, diff)
+    def interaction(self, g, P, h, r, t):
+        r, M = r
+        h_p = g.einsum("bnij,bnj->bni", M, h)
+        t_p = g.einsum("bnij,bnj->bni", M, t)
+        return -g.square(_translation(h_p, r, t_p)).sum(axis=-1)
 
 
 class TransD(Interaction):
@@ -490,6 +491,8 @@ class TransD(Interaction):
     """
 
     kind = "transd"
+    entity_tables = ("entity", "entity_p")
+    relation_tables = ("relation", "relation_p")
 
     def tensor_specs(self):
         s = self.spec
@@ -510,55 +513,21 @@ class TransD(Interaction):
         if k == d:
             return x
         if k < d:
-            key = (Ellipsis, slice(0, k))
-            return g.apply("slice", x, key=key)
+            return x[..., :k]
         zeros = g.constant(np.zeros(x.shape[:-1] + (k - d,)))
-        return g.concat([x, zeros], axis=x.value.ndim - 1)
+        return g.concat([x, zeros], axis=-1)
 
-    def _project(self, g, e, e_p, r_p):
-        dots = g.einsum("bd,bd->b", e_p, e).reshape((-1, 1))
-        return r_p * dots + self._resize(g, e)
+    def _project(self, g, e, r_p):
+        e, e_p = e
+        return r_p * _column(g.einsum("bnd,bnd->bn", e_p, e)) + self._resize(g, e)
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        hp = g.gather(P["entity_p"], _ids(h_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        tp = g.gather(P["entity_p"], _ids(t_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        rp = g.gather(P["relation_p"], _ids(r_ids))
-        h_proj = self._project(g, h, hp, rp)
-        t_proj = self._project(g, t, tp, rp)
-        return _neg_sq_norm(g, h_proj + r - t_proj, axis=1)
-
-    def _project_all(self, g, P, rp):
-        # projection of every entity for every batch row: (B, E, k)
-        dots = g.einsum("ed,ed->e", P["entity_p"], P["entity"])
-        B, k = rp.shape[0], self.spec.k
-        outer = g.einsum("bk,e->bek", rp, dots)
-        return outer + self._resize(g, P["entity"])
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        hp = g.gather(P["entity_p"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        rp = g.gather(P["relation_p"], _ids(r_ids))
-        h_proj = self._project(g, h, hp, rp)
-        t_all = self._project_all(g, P, rp)
-        diff = (h_proj + r).reshape((h_proj.shape[0], 1, self.spec.k)) - t_all
-        return _neg_sq_norm(g, diff)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        t = g.gather(P["entity"], _ids(t_ids))
-        tp = g.gather(P["entity_p"], _ids(t_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        rp = g.gather(P["relation_p"], _ids(r_ids))
-        t_proj = self._project(g, t, tp, rp)
-        h_all = self._project_all(g, P, rp)
-        diff = h_all + (r - t_proj).reshape((t_proj.shape[0], 1, self.spec.k))
-        return _neg_sq_norm(g, diff)
+    def interaction(self, g, P, h, r, t):
+        r, r_p = r
+        h, t = self._project(g, h, r_p), self._project(g, t, r_p)
+        return -g.square(_translation(h, r, t)).sum(axis=-1)
 
 
-class RESCAL(Interaction):
+class RESCAL(ContextInteraction):
     """Bilinear model with a full matrix per relation: h^T W_r t."""
 
     kind = "rescal"
@@ -574,27 +543,14 @@ class RESCAL(Interaction):
         s = self.spec
         return s.num_entities * s.d_e + s.num_relations * s.d_e * s.d_e
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        W = g.gather(P["relation"], _ids(r_ids))
-        hw = g.einsum("bi,bij->bj", h, W)
-        return _rowdot(g, hw, t)
+    def tail_query(self, g, P, h, r):
+        return g.einsum("bni,bnij->bnj", h, r)
 
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        W = g.gather(P["relation"], _ids(r_ids))
-        hw = g.einsum("bi,bij->bj", h, W)
-        return hw @ P["entity"].T
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        t = g.gather(P["entity"], _ids(t_ids))
-        W = g.gather(P["relation"], _ids(r_ids))
-        wt = g.einsum("bij,bj->bi", W, t)
-        return wt @ P["entity"].T
+    def head_query(self, g, P, r, t):
+        return g.einsum("bnij,bnj->bni", r, t)
 
 
-class DistMult(Interaction):
+class DistMult(ContextInteraction):
     """RESCAL restricted to diagonal relation matrices; symmetric in h and t."""
 
     kind = "distmult"
@@ -610,24 +566,14 @@ class DistMult(Interaction):
         s = self.spec
         return s.num_entities * s.d_e + s.num_relations * s.d_e
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        return (h * r * t).sum(axis=1)
+    def tail_query(self, g, P, h, r):
+        return h * r
 
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        return (h * r) @ P["entity"].T
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        return (t * r) @ P["entity"].T
+    def head_query(self, g, P, r, t):
+        return t * r
 
 
-class ComplEx(Interaction):
+class ComplEx(ContextInteraction):
     """Bilinear model over C^d: Re(<h, r, conj(t)>).
 
     Embeddings are stored as (n, 2d) arrays, real parts in the first d
@@ -648,40 +594,19 @@ class ComplEx(Interaction):
         s = self.spec
         return 2 * s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
 
-    def _split(self, g, x):
+    def _split(self, x):
         d = self.spec.d_e
         return x[..., :d], x[..., d:]
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        hr, hi = self._split(g, h)
-        rr, ri = self._split(g, r)
-        tr, ti = self._split(g, t)
-        re = hr * rr - hi * ri
-        im = hi * rr + hr * ri
-        return (re * tr + im * ti).sum(axis=1)
+    def tail_query(self, g, P, h, r):
+        (hr, hi), (rr, ri) = self._split(h), self._split(r)
+        return g.concat([hr * rr - hi * ri, hi * rr + hr * ri], axis=-1)
 
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        hr, hi = self._split(g, h)
-        rr, ri = self._split(g, r)
-        re = hr * rr - hi * ri
-        im = hi * rr + hr * ri
-        return g.concat([re, im], axis=1) @ P["entity"].T
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        rr, ri = self._split(g, r)
-        tr, ti = self._split(g, t)
+    def head_query(self, g, P, r, t):
         # regroup by the head components: f = h_re.(r_re t_re + r_im t_im)
         #                                    + h_im.(r_re t_im - r_im t_re)
-        u = rr * tr + ri * ti
-        v = rr * ti - ri * tr
-        return g.concat([u, v], axis=1) @ P["entity"].T
+        (rr, ri), (tr, ti) = self._split(r), self._split(t)
+        return g.concat([rr * tr + ri * ti, rr * ti - ri * tr], axis=-1)
 
 
 class RotatE(Interaction):
@@ -705,57 +630,35 @@ class RotatE(Interaction):
         s = self.spec
         return 2 * s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
 
-    def _unit_relation(self, g, P, r_ids):
+    def interaction(self, g, P, h, r, t):
         d = self.spec.d_e
-        r = g.gather(P["relation"], _ids(r_ids))
         rr, ri = r[..., :d], r[..., d:]
-        mod = g.pnorm(
-            g.concat([rr.reshape((-1, d, 1)), ri.reshape((-1, d, 1))], axis=2),
-            p=2, axis=2,
-        )
-        return rr / mod, ri / mod
-
-    def _rotated_head(self, g, P, h_ids, r_ids):
-        d = self.spec.d_e
-        h = g.gather(P["entity"], _ids(h_ids))
+        mod = g.pnorm(g.concat([_column(rr), _column(ri)], axis=-1), p=2, axis=-1)
+        rr, ri = rr / mod, ri / mod
+        if h.shape[1] > t.shape[1]:
+            # every head against one tail: rotate the tail backwards instead,
+            # ||h.r - t|| = ||h - t.conj(r)||, so no candidate is rotated
+            tr, ti = t[..., :d], t[..., d:]
+            return -g.pnorm(h - g.concat([tr * rr + ti * ri, ti * rr - tr * ri], axis=-1),
+                            p=2, axis=-1)
         hr, hi = h[..., :d], h[..., d:]
-        rr, ri = self._unit_relation(g, P, r_ids)
-        return hr * rr - hi * ri, hr * ri + hi * rr
-
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        d = self.spec.d_e
-        xr, xi = self._rotated_head(g, P, h_ids, r_ids)
-        t = g.gather(P["entity"], _ids(t_ids))
-        diff = g.concat([xr - t[..., :d], xi - t[..., d:]], axis=1)
-        return -g.pnorm(diff, p=2, axis=1)
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        d = self.spec.d_e
-        xr, xi = self._rotated_head(g, P, h_ids, r_ids)
-        x = g.concat([xr, xi], axis=1)
-        diff = x.reshape((x.shape[0], 1, 2 * d)) - P["entity"]
-        return -g.pnorm(diff, p=2, axis=-1)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        # rotate the tail backwards: ||h.r - t|| = ||h - t.conj(r)||
-        d = self.spec.d_e
-        t = g.gather(P["entity"], _ids(t_ids))
-        tr, ti = t[..., :d], t[..., d:]
-        rr, ri = self._unit_relation(g, P, r_ids)
-        yr = tr * rr + ti * ri
-        yi = ti * rr - tr * ri
-        y = g.concat([yr, yi], axis=1)
-        diff = P["entity"] - y.reshape((y.shape[0], 1, 2 * d))
-        return -g.pnorm(diff, p=2, axis=-1)
+        return -g.pnorm(g.concat([hr * rr - hi * ri, hr * ri + hi * rr], axis=-1) - t,
+                        p=2, axis=-1)
 
 
-class SimplE(Interaction):
+class SimplE(ContextInteraction):
     """Canonical-polyadic scoring with tied head/tail roles and an inverse
     relation vector per relation; the two directions are averaged. Training
-    scores are clamped to [-20, 20] (in the loss path only)."""
+    scores are clamped to [-20, 20] (in the loss path only).
+
+    Keys are [e_t | e_h]; the tail query is [h_h r | h_t r_inv] / 2, the
+    head query [t_h r_inv | t_t r] / 2.
+    """
 
     kind = "simple"
     score_clamp = (-20.0, 20.0)
+    entity_tables = ("entity_h", "entity_t")
+    relation_tables = ("relation", "relation_inv")
 
     def tensor_specs(self):
         s = self.spec
@@ -770,40 +673,17 @@ class SimplE(Interaction):
         s = self.spec
         return 2 * s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h_ids, r_ids, t_ids = _ids(h_ids), _ids(r_ids), _ids(t_ids)
-        hh = g.gather(P["entity_h"], h_ids)
-        th = g.gather(P["entity_h"], t_ids)
-        ht = g.gather(P["entity_t"], h_ids)
-        tt = g.gather(P["entity_t"], t_ids)
-        r = g.gather(P["relation"], r_ids)
-        ri = g.gather(P["relation_inv"], r_ids)
-        fwd = (hh * r * tt).sum(axis=1)
-        bwd = (th * ri * ht).sum(axis=1)
-        return 0.5 * (fwd + bwd)
+    def keys(self, g, P, e):
+        return g.concat([e[1], e[0]], axis=-1)
 
-    def score_tails(self, g, P, h_ids, r_ids):
-        h_ids, r_ids = _ids(h_ids), _ids(r_ids)
-        hh = g.gather(P["entity_h"], h_ids)
-        ht = g.gather(P["entity_t"], h_ids)
-        r = g.gather(P["relation"], r_ids)
-        ri = g.gather(P["relation_inv"], r_ids)
-        fwd = (hh * r) @ P["entity_t"].T
-        bwd = (ht * ri) @ P["entity_h"].T
-        return 0.5 * (fwd + bwd)
+    def tail_query(self, g, P, h, r):
+        return g.concat([h[0] * r[0], h[1] * r[1]], axis=-1) * 0.5
 
-    def score_heads(self, g, P, r_ids, t_ids):
-        r_ids, t_ids = _ids(r_ids), _ids(t_ids)
-        th = g.gather(P["entity_h"], t_ids)
-        tt = g.gather(P["entity_t"], t_ids)
-        r = g.gather(P["relation"], r_ids)
-        ri = g.gather(P["relation_inv"], r_ids)
-        fwd = (tt * r) @ P["entity_h"].T
-        bwd = (th * ri) @ P["entity_t"].T
-        return 0.5 * (fwd + bwd)
+    def head_query(self, g, P, r, t):
+        return g.concat([t[0] * r[1], t[1] * r[0]], axis=-1) * 0.5
 
 
-class TuckER(Interaction):
+class TuckER(ContextInteraction):
     """Tucker decomposition scoring: W x1 h x2 r x3 t with a shared core.
 
     The two per-feature affine pairs are the learnable remnants of the
@@ -834,38 +714,28 @@ class TuckER(Interaction):
             + 4 * s.d_e
         )
 
-    def _context(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
+    def tail_query(self, g, P, h, r):
         x = h * P["scale0"] + P["shift0"]
-        xw = g.einsum("bp,pqe->bqe", x, P["core"])
-        y = g.einsum("bqe,bq->be", xw, r)
+        xw = g.einsum("bnp,pqe->bnqe", x, P["core"])
+        y = g.einsum("bnqe,bnq->bne", xw, r)
         return y * P["scale1"] + P["shift1"]
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        y = self._context(g, P, h_ids, r_ids)
-        t = g.gather(P["entity"], _ids(t_ids))
-        return _rowdot(g, y, t)
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        y = self._context(g, P, h_ids, r_ids)
-        return y @ P["entity"].T
-
-    def score_heads(self, g, P, r_ids, t_ids):
+    def head_query(self, g, P, r, t):
         # score(h', r, t) = (scale0*h' + shift0) . m + shift1 . t
         # with m_p = sum_{q,e} core[p,q,e] r_q (scale1*t)_e
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        m = g.einsum("pqe,be->bpq", P["core"], t * P["scale1"])
-        m = g.einsum("bpq,bq->bp", m, r)
-        scores = m @ (P["entity"] * P["scale0"]).T
-        const = g.einsum("p,bp->b", P["shift0"], m) + g.einsum("bd,d->b", t, P["shift1"])
-        return scores + const.reshape((-1, 1))
+        m = g.einsum("pqe,bne->bnpq", P["core"], t * P["scale1"])
+        m = g.einsum("bnpq,bnq->bnp", m, r)
+        c = g.einsum("bnp,p->bn", m, P["shift0"]) + g.einsum("bnd,d->bn", t, P["shift1"])
+        return m * P["scale0"], c
 
 
-class ProjE(Interaction):
+class ProjE(ContextInteraction):
     """Shared diagonal combination of h and r, then a tail match:
-    sigmoid(t . tanh(D_e h + D_r r + b_c) + b_p)."""
+    t . tanh(D_e h + D_r r + b_c) + b_p.
+
+    The score is the logit; the original model's sigmoid is the one the
+    pointwise losses apply.
+    """
 
     kind = "proje"
 
@@ -884,27 +754,19 @@ class ProjE(Interaction):
         s = self.spec
         return s.num_entities * s.d_e + s.num_relations * s.d_e + 3 * s.d_e + 1
 
-    def _combined(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        return g.tanh(h * P["d_entity"] + r * P["d_relation"] + P["b_combine"])
-
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        z = self._combined(g, P, h_ids, r_ids)
-        t = g.gather(P["entity"], _ids(t_ids))
-        return g.sigmoid(_rowdot(g, t, z) + P["b_project"][0])
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        z = self._combined(g, P, h_ids, r_ids)
-        return g.sigmoid(z @ P["entity"].T + P["b_project"][0])
+    def tail_query(self, g, P, h, r):
+        z = g.tanh(h * P["d_entity"] + r * P["d_relation"] + P["b_combine"])
+        return z, P["b_project"][0]
 
 
-class HolE(Interaction):
-    """Holographic embeddings: sigmoid(r . circcorr(h, t)).
+class HolE(ContextInteraction):
+    """Holographic embeddings: r . circcorr(h, t).
 
-    The correlation is an FFT product, O(d log d). The all-tails and all-heads
-    paths use the identities r.(h*t) = t.conv(h, r) = h.corr(r, t), keeping
-    1-N scoring a matmul.
+    The score is the logit; the original model's sigmoid is the one the
+    pointwise losses apply. The correlation is an FFT product, O(d log d).
+    By the identities r.(h*t) = t.conv(h, r) = h.corr(r, t) the tail query
+    is the circular convolution of h and r and the head query the
+    correlation of r and t.
     """
 
     kind = "hole"
@@ -920,24 +782,11 @@ class HolE(Interaction):
         s = self.spec
         return s.num_entities * s.d_e + s.num_relations * s.d_e
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        corr = g.circcorr(h, t)
-        return g.sigmoid(_rowdot(g, r, corr))
+    def tail_query(self, g, P, h, r):
+        return g.circcorr(g.reverse_roll(h), r)
 
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        conv = g.circcorr(g.reverse_roll(h), r)  # circular convolution of h and r
-        return g.sigmoid(conv @ P["entity"].T)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        corr = g.circcorr(r, t)
-        return g.sigmoid(corr @ P["entity"].T)
+    def head_query(self, g, P, r, t):
+        return g.circcorr(r, t)
 
 
 class KG2E(Interaction):
@@ -951,6 +800,8 @@ class KG2E(Interaction):
     """
 
     kind = "kg2e"
+    entity_tables = ("entity_mu", "entity_cov")
+    relation_tables = ("relation_mu", "relation_cov")
 
     def tensor_specs(self):
         s = self.spec
@@ -971,43 +822,21 @@ class KG2E(Interaction):
         np.clip(params["relation_cov"], self.spec.c_min, self.spec.c_max,
                 out=params["relation_cov"])
 
-    def _score_from_parts(self, g, mu_e, cov_e, mu_r, cov_r, d):
+    def interaction(self, g, P, h, r, t):
+        d = float(self.spec.d_e)
+        (mu_h, cov_h), (mu_r, cov_r), (mu_t, cov_t) = h, r, t
+        mu_e, cov_e = mu_h - mu_t, cov_h + cov_t
         if self.spec.similarity == "kl":
             trace = (cov_e / cov_r).sum(axis=-1)
             delta = mu_r - mu_e
             quad = (delta * delta / cov_r).sum(axis=-1)
             logdet = g.log(cov_r).sum(axis=-1) - g.log(cov_e).sum(axis=-1)
-            return -0.5 * (trace + quad + logdet - float(d))
+            return -0.5 * (trace + quad + logdet - d)
         delta = mu_e - mu_r
         cov = cov_e + cov_r
         quad = (delta * delta / cov).sum(axis=-1)
         logdet = g.log(cov).sum(axis=-1)
-        return -0.5 * (quad + logdet + float(d) * np.log(TWO_PI))
-
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        mu_e = g.gather(P["entity_mu"], _ids(h_ids)) - g.gather(P["entity_mu"], _ids(t_ids))
-        cov_e = g.gather(P["entity_cov"], _ids(h_ids)) + g.gather(P["entity_cov"], _ids(t_ids))
-        mu_r = g.gather(P["relation_mu"], _ids(r_ids))
-        cov_r = g.gather(P["relation_cov"], _ids(r_ids))
-        return self._score_from_parts(g, mu_e, cov_e, mu_r, cov_r, self.spec.d_e)
-
-    def _score_vs_all(self, g, P, mu_fixed, cov_fixed, r_ids, sign):
-        B, d = mu_fixed.shape[0], self.spec.d_e
-        mu_e = sign * (mu_fixed.reshape((B, 1, d)) - P["entity_mu"])
-        cov_e = cov_fixed.reshape((B, 1, d)) + P["entity_cov"]
-        mu_r = g.gather(P["relation_mu"], _ids(r_ids)).reshape((B, 1, d))
-        cov_r = g.gather(P["relation_cov"], _ids(r_ids)).reshape((B, 1, d))
-        return self._score_from_parts(g, mu_e, cov_e, mu_r, cov_r, d)
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        mu_h = g.gather(P["entity_mu"], _ids(h_ids))
-        cov_h = g.gather(P["entity_cov"], _ids(h_ids))
-        return self._score_vs_all(g, P, mu_h, cov_h, r_ids, 1.0)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        mu_t = g.gather(P["entity_mu"], _ids(t_ids))
-        cov_t = g.gather(P["entity_cov"], _ids(t_ids))
-        return self._score_vs_all(g, P, mu_t, cov_t, r_ids, -1.0)
+        return -0.5 * (quad + logdet + d * np.log(TWO_PI))
 
 
 class ERMLP(Interaction):
@@ -1036,43 +865,10 @@ class ERMLP(Interaction):
             + 1
         )
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        cat = g.concat([h, r, t], axis=1)
-        hidden = g.tanh(g.einsum("bj,kj->bk", cat, P["w_hidden"]) + P["b_hidden"])
-        return g.einsum("bk,k->b", hidden, P["w_out"]) + P["b_out"][0]
-
-    def _partial(self, g, P, first, second, cols):
-        d = self.spec.d_e
-        W = P["w_hidden"]
-        w1 = g.apply("slice", W, key=(slice(None), slice(cols[0] * d, cols[0] * d + 2 * d)))
-        w2 = g.apply("slice", W, key=(slice(None), slice(cols[1] * d, cols[1] * d + d)))
-        base = g.einsum("bj,kj->bk", g.concat([first, second], axis=1), w1)
-        alle = g.einsum("ej,kj->ek", P["entity"], w2)
-        B, k = base.shape[0], self.spec.k
-        hidden = g.tanh(base.reshape((B, 1, k)) + alle + P["b_hidden"])
-        return g.einsum("bek,k->be", hidden, P["w_out"]) + P["b_out"][0]
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        return self._partial(g, P, h, r, (0, 2))
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        # hidden = W_h e + (W_r r + W_t t); W_h is the leading column block
-        d = self.spec.d_e
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        W = P["w_hidden"]
-        w_rt = g.apply("slice", W, key=(slice(None), slice(d, 3 * d)))
-        w_h = g.apply("slice", W, key=(slice(None), slice(0, d)))
-        base = g.einsum("bj,kj->bk", g.concat([r, t], axis=1), w_rt)
-        alle = g.einsum("ej,kj->ek", P["entity"], w_h)
-        B, k = base.shape[0], self.spec.k
-        hidden = g.tanh(base.reshape((B, 1, k)) + alle + P["b_hidden"])
-        return g.einsum("bek,k->be", hidden, P["w_out"]) + P["b_out"][0]
+    def interaction(self, g, P, h, r, t):
+        hidden = g.tanh(_linear(g, [h, r, t], P["w_hidden"],
+                                lambda x, w: g.einsum("bnj,kj->bnk", x, w), P["b_hidden"]))
+        return g.einsum("bnk,k->bn", hidden, P["w_out"]) + P["b_out"][0]
 
 
 class NTN(Interaction):
@@ -1080,6 +876,7 @@ class NTN(Interaction):
     bilinear slices per relation."""
 
     kind = "ntn"
+    relation_tables = ("w", "v", "b", "u")
 
     def tensor_specs(self):
         s = self.spec
@@ -1097,62 +894,27 @@ class NTN(Interaction):
             s.d_e * s.d_e + 2 * s.d_e + 2
         )
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        d = self.spec.d_e
-        h = g.gather(P["entity"], _ids(h_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        W = g.gather(P["w"], _ids(r_ids))
-        V = g.gather(P["v"], _ids(r_ids))
-        b = g.gather(P["b"], _ids(r_ids))
-        u = g.gather(P["u"], _ids(r_ids))
-        hw = g.einsum("bi,bijk->bjk", h, W)
-        bilinear = g.einsum("bjk,bj->bk", hw, t)
-        linear = g.einsum("bkj,bj->bk", V, g.concat([h, t], axis=1))
-        act = g.tanh(bilinear + linear + b)
-        return g.einsum("bk,bk->b", u, act)
-
-    def _v_blocks(self, g, V):
-        d = self.spec.d_e
-        vh = g.apply("slice", V, key=(slice(None), slice(None), slice(0, d)))
-        vt = g.apply("slice", V, key=(slice(None), slice(None), slice(d, 2 * d)))
-        return vh, vt
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        W = g.gather(P["w"], _ids(r_ids))
-        V = g.gather(P["v"], _ids(r_ids))
-        b = g.gather(P["b"], _ids(r_ids))
-        u = g.gather(P["u"], _ids(r_ids))
-        vh, vt = self._v_blocks(g, V)
-        hw = g.einsum("bi,bijk->bjk", h, W)
-        bilinear = g.einsum("bjk,ej->bek", hw, P["entity"])
-        lin_h = g.einsum("bkj,bj->bk", vh, h)
-        lin_t = g.einsum("bkj,ej->bek", vt, P["entity"])
-        B, k = lin_h.shape[0], self.spec.k
-        act = g.tanh(bilinear + lin_t + (lin_h + b).reshape((B, 1, k)))
-        return g.einsum("bek,bk->be", act, u)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        t = g.gather(P["entity"], _ids(t_ids))
-        W = g.gather(P["w"], _ids(r_ids))
-        V = g.gather(P["v"], _ids(r_ids))
-        b = g.gather(P["b"], _ids(r_ids))
-        u = g.gather(P["u"], _ids(r_ids))
-        vh, vt = self._v_blocks(g, V)
-        wt = g.einsum("bijk,bj->bik", W, t)
-        bilinear = g.einsum("bik,ei->bek", wt, P["entity"])
-        lin_t = g.einsum("bkj,bj->bk", vt, t)
-        lin_h = g.einsum("bkj,ej->bek", vh, P["entity"])
-        B, k = lin_t.shape[0], self.spec.k
-        act = g.tanh(bilinear + lin_h + (lin_t + b).reshape((B, 1, k)))
-        return g.einsum("bek,bk->be", act, u)
+    def interaction(self, g, P, h, r, t):
+        W, V, b, u = r
+        # contract W with the single side first: every candidate then meets
+        # a (B, d, k) tensor, never a (B, E, d, k) one
+        if h.shape[1] > t.shape[1]:
+            wt = g.einsum("bnijk,bnj->bnik", W, t)
+            bilinear = g.einsum("bnik,bni->bnk", wt, h)
+        else:
+            hw = g.einsum("bni,bnijk->bnjk", h, W)
+            bilinear = g.einsum("bnjk,bnj->bnk", hw, t)
+        linear = _linear(g, [h, t], V, lambda x, v: g.einsum("bnkj,bnj->bnk", v, x), b)
+        act = g.tanh(bilinear + linear)
+        return g.einsum("bnk,bnk->bn", act, u)
 
 
 class ConvKB(Interaction):
     """Row-wise 1x3 convolutions over the stacked triple matrix [h; r; t],
     relu feature maps, then a shared linear readout. The filters map each
     column [h_i; r_i; t_i] to tau features: a batch's maps are one
-    (B·d, 3) @ (3, tau) matmul, and the readout a second one."""
+    (B·d, 3) @ (3, tau) matmul per shape of operand, and the readout one
+    more."""
 
     kind = "convkb"
 
@@ -1176,53 +938,29 @@ class ConvKB(Interaction):
             + 1
         )
 
-    def _maps(self, g, rows, filters):
-        """(n, d, tau) filter responses of the columns stacked from the (n, d)
-        `rows`, against the matching (tau, len(rows)) filter columns."""
-        n, d = rows[0].shape
-        cols = g.concat([x.reshape((n * d, 1)) for x in rows], axis=1)
-        return (cols @ filters.T).reshape((n, d, self.spec.tau))
-
-    def _readout(self, g, P, x):
-        """Bias, relu and the linear readout of (..., d, tau) pre-activations."""
-        width = self.spec.d_e * self.spec.tau
-        act = g.relu(x + P["filter_bias"])
+    def interaction(self, g, P, h, r, t):
+        tau, width = self.spec.tau, self.spec.d_e * self.spec.tau
+        maps = _linear(  # (..., d, n) columns against their (tau, n) filter columns
+            g, [_column(h), _column(r), _column(t)], P["filters"],
+            lambda x, w: (x.reshape((-1, w.shape[1])) @ w.T).reshape(x.shape[:-1] + (tau,)),
+            P["filter_bias"])
+        act = g.relu(maps)
         flat = act.reshape((-1, width)) @ P["w_out"].T.reshape((width, 1))
         return flat.reshape(act.shape[:-2]) + P["b_out"][0]
 
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        return self._readout(g, P, self._maps(g, [h, r, t], P["filters"]))
 
-    def score_tails(self, g, P, h_ids, r_ids):
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        F = P["filters"]
-        base = self._maps(g, [h, r], F[:, :2])
-        tails = self._maps(g, [P["entity"]], F[:, 2:])
-        return self._readout(g, P, base.reshape((-1, 1) + tails.shape[1:]) + tails)
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        r = g.gather(P["relation"], _ids(r_ids))
-        t = g.gather(P["entity"], _ids(t_ids))
-        F = P["filters"]
-        base = self._maps(g, [r, t], F[:, 1:])
-        heads = self._maps(g, [P["entity"]], F[:, :1])
-        return self._readout(g, P, base.reshape((-1, 1) + heads.shape[1:]) + heads)
-
-
-class ConvE(Interaction):
+class ConvE(ContextInteraction):
     """2-D convolution over the stacked reshapes of h and r, projected back
     to entity space and matched against the tail, plus a per-entity bias.
 
     The head reshape fills the first conv_height/2 rows. The per-channel
     affine pairs stand in for the original normalization layers (no batch
-    statistics), keeping scoring a pure function of the triple.
+    statistics), keeping scoring a pure function of the triple. There is no
+    head query: the head side convolves every candidate head.
     """
 
     kind = "conve"
+    entity_bias = "entity_bias"
 
     def tensor_specs(self):
         s = self.spec
@@ -1257,38 +995,25 @@ class ConvE(Interaction):
             + s.num_entities
         )
 
-    def _context(self, g, P, h_ids, r_ids):
+    def tail_query(self, g, P, h, r):
         """Entity-space representation of (h, r): everything before the tail."""
         s = self.spec
         m, n = s.conv_height, s.conv_width
         mo, no = s.conv_out
-        h = g.gather(P["entity"], _ids(h_ids))
-        r = g.gather(P["relation"], _ids(r_ids))
-        B = h.shape[0]
-        stacked = g.concat(
-            [h.reshape((B, m // 2, n)), r.reshape((B, m // 2, n))], axis=1
-        )
-        x = stacked * P["scale_in"][0] + P["shift_in"][0]
-        c = g.conv2d(x, P["filters"])  # (B, tau, mo, no)
+        lead = np.broadcast_shapes(h.shape[:-1], r.shape[:-1])
+        halves = [
+            (x if x.shape[:-1] == lead else x + np.zeros(lead + (1,))).reshape((-1, m // 2, n))
+            for x in (h, r)
+        ]
+        x = g.concat(halves, axis=1) * P["scale_in"][0] + P["shift_in"][0]
+        c = g.conv2d(x, P["filters"])  # (B·N, tau, mo, no)
         c = c * P["scale_conv"].reshape((1, s.tau, 1, 1)) + P["shift_conv"].reshape(
             (1, s.tau, 1, 1)
         )
         c = g.relu(c)
-        v = c.reshape((B, s.tau * mo * no))
-        e = v @ P["w_fc"] + P["b_fc"]
+        e = c.reshape((-1, s.tau * mo * no)) @ P["w_fc"] + P["b_fc"]
         e = e * P["scale_out"] + P["shift_out"]
-        return g.relu(e)
-
-    def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        t_ids = _ids(t_ids)
-        e = self._context(g, P, h_ids, r_ids)
-        t = g.gather(P["entity"], t_ids)
-        bias = g.gather(P["entity_bias"], t_ids)
-        return _rowdot(g, e, t) + bias
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        e = self._context(g, P, h_ids, r_ids)
-        return e @ P["entity"].T + P["entity_bias"]
+        return g.relu(e).reshape(lead + (s.d_e,))
 
 
 _REGISTRY = {cls.kind: cls for cls in (

@@ -24,7 +24,7 @@ from scipy.special import softmax
 
 from kgembed.autodiff import Graph, finite_difference_check
 from kgembed.cli import main
-from kgembed.datasets import TripleStore, relation_stats
+from kgembed.datasets import TripleStore, add_inverse_relations, relation_stats
 from kgembed.evaluation import compute_ranks, rank_from_scores
 from kgembed.hpo import Budget, SearchSpace, random_search
 from kgembed.losses import (
@@ -42,6 +42,7 @@ from kgembed.models import (
     parameter_count,
 )
 from kgembed.sampling import NegativeSampler
+from kgembed.training import OptimizerSpec, TrainingConfig, train
 from test_models import small_spec
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -103,6 +104,39 @@ def test_kinships_complex_bcel_negative_sampling_with_inverse(kinships):
         hits >= 0.85 and trials <= 20 and elapsed <= 1800,
         f"complex/bcel/slcwa/inverse on kinships: test filtered realistic "
         f"hits@10 {hits:.4f} >= 0.85 ({trials} trials, {elapsed:.1f}s)",
+    )
+
+
+def _kinships_hits_at_10(kinships, kind, approach, epochs, seed):
+    """Filtered test hits@10 of one fixed run on Kinships with inverse
+    relations: d=64, bcel, Adam lr 0.02, B=256, uniform K=4 under sLCWA."""
+    store = add_inverse_relations(kinships)
+    model = build_interaction(InteractionSpec(
+        kind=kind, num_entities=store.num_entities,
+        num_relations=store.num_relations, d_e=64))
+    config = TrainingConfig(
+        approach=approach, loss=LossSpec("bcel"),
+        optimizer=OptimizerSpec(kind="adam", lr=0.02), batch_size=256,
+        num_epochs=epochs, num_negatives=4, sampler="uniform", seed=seed,
+        eval_frequency=epochs, patience=epochs)
+    result = train(model, init_parameters(model, seed), store, config)
+    return compute_ranks(model, result.params, store, split="test").get("hits_at_10")
+
+
+@pytest.mark.parametrize("kind, approach, epochs, floor", [
+    ("hole", "slcwa", 8, 0.80),
+    ("proje", "lcwa", 30, 0.75),
+])
+def test_kinships_logit_models_learn_under_bcel(kinships, kind, approach, epochs, floor):
+    # HolE and ProjE return their logit; a sigmoid inside the score would
+    # confine bcel's logits to (0, 1) and leave both near chance (about 0.1)
+    t0 = time.monotonic()
+    hits = [_kinships_hits_at_10(kinships, kind, approach, epochs, seed) for seed in (0, 1)]
+    elapsed = time.monotonic() - t0
+    verdict(
+        min(hits) >= floor and elapsed <= 600,
+        f"{kind}/bcel/{approach}/inverse on kinships, {epochs} epochs: test filtered "
+        f"hits@10 {hits[0]:.4f}, {hits[1]:.4f} at seeds 0, 1 >= {floor} ({elapsed:.1f}s)",
     )
 
 

@@ -293,6 +293,33 @@ def test_einsum_gradients_over_model_contractions():
         assert err < 1e-6, f"{spec}: rel err {err}"
 
 
+def test_einsum_broadcasts_size_one_axes():
+    # a (B, 1, d, d) operand against a (1, E, d) one, and a label of size 1
+    # in both operands: values match numpy on explicitly broadcast operands,
+    # and each gradient has its operand's shape, the broadcast axes summed
+    rng = rng_seq(13)
+    cases = [
+        ("bnij,bnj->bni", (3, 1, 4, 4), (1, 5, 4)),
+        ("bni,bnijk->bnjk", (3, 1, 4), (3, 1, 4, 2, 2)),
+        ("bnd,bnd->bn", (1, 5, 4), (3, 1, 4)),
+    ]
+    for spec, sa, sb in cases:
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        lhs, out = spec.split("->")
+        full = np.broadcast_shapes(sa[:2], sb[:2])
+        want = np.einsum(spec, np.broadcast_to(a, full + sa[2:]), np.broadcast_to(b, full + sb[2:]))
+        c = rng.normal(size=want.shape)
+        g = Graph()
+        x, y = g.leaf(a), g.leaf(b)
+        z = g.einsum(spec, x, y)
+        assert np.allclose(z.value, want, rtol=0, atol=1e-12)
+        g.backward((z * c).sum())
+        assert x.grad.shape == sa and y.grad.shape == sb
+        err = finite_difference_check(
+            lambda g, x, y, spec=spec, c=c: (g.einsum(spec, x, y) * c).sum(), [a, b])
+        assert err < 1e-6, f"{spec}: rel err {err}"
+
+
 def test_broadcasting_gradients():
     rng = rng_seq(12)
     a = rng.normal(size=(3, 1))

@@ -206,10 +206,10 @@ def test_hole_hand_value():
     params["entity"][0, :] = [1.0, 2.0]
     params["entity"][1, :] = [3.0, 4.0]
     params["relation"][0, :] = [0.5, -1.0]
-    # circular correlation of h and t: [h0 t0 + h1 t1, h0 t1 + h1 t0]
+    # circular correlation of h and t: [h0 t0 + h1 t1, h0 t1 + h1 t0]; the
+    # score is the logit r . corr, with no sigmoid on top
     corr = np.array([1 * 3 + 2 * 4, 1 * 4 + 2 * 3])
-    want = 1.0 / (1.0 + np.exp(-(0.5 * corr[0] - 1.0 * corr[1])))
-    assert model.score(params, 0, 0, 1) == pytest.approx(want)
+    assert model.score(params, 0, 0, 1) == pytest.approx(0.5 * corr[0] - 1.0 * corr[1])
 
 
 def test_proje_matches_formula():
@@ -224,7 +224,7 @@ def test_proje_matches_formula():
             + params["b_combine"]
         )
         logit = params["entity"][t] @ z + params["b_project"][0]
-        assert model.score(params, h, r, t) == pytest.approx(1 / (1 + np.exp(-logit)))
+        assert model.score(params, h, r, t) == pytest.approx(logit)
 
 
 def test_simple_averages_forward_and_backward_terms():
@@ -450,16 +450,29 @@ def test_all_entity_scoring_matches_scalar_path(kind):
             assert abs(heads[e] - s_h) <= 1e-10 * max(1.0, abs(s_h))
 
 
-def test_batched_all_entity_scoring_matches_row_wise():
-    for kind in ("transh", "complex", "ntn", "conve"):
-        spec, model, params = make(kind)
-        g = Graph()
-        P = model.leaves(g, params, trainable=False)
-        hs, rs = np.array([0, 3, 5]), np.array([0, 1, 2])
-        batch = model.score_tails(g, P, hs, rs).value
-        for b in range(3):
-            row = model.score_all_tails(params, hs[b], rs[b])
-            assert np.allclose(batch[b], row, atol=1e-12)
+@pytest.mark.parametrize("side", ("tails", "heads"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_batched_all_entity_scoring_matches_row_wise(kind, side):
+    # B > 1 is where (B, 1) rows and (1, E) tables could broadcast wrongly:
+    # each row equals its own B = 1 call, and the scalar path to 1e-10
+    spec, model, params = make(kind)
+    E = spec.num_entities
+    g = Graph()
+    P = model.leaves(g, params, trainable=False)
+    es, rs = np.array([0, 3, 5, 3]), np.array([0, 1, 2, 2])
+    cand = np.arange(E)
+    if side == "tails":
+        batch = model.score_tails(g, P, es, rs).value
+        rows = [model.score_all_tails(params, e, r) for e, r in zip(es, rs)]
+        triples = [np.stack([np.full(E, e), np.full(E, r), cand], axis=1) for e, r in zip(es, rs)]
+    else:
+        batch = model.score_heads(g, P, rs, es).value
+        rows = [model.score_all_heads(params, r, e) for e, r in zip(es, rs)]
+        triples = [np.stack([cand, np.full(E, r), np.full(E, e)], axis=1) for e, r in zip(es, rs)]
+    assert batch.shape == (len(es), E)
+    assert np.allclose(batch, rows, rtol=0, atol=1e-12)
+    want = model.score_batch(params, np.concatenate(triples)).reshape(batch.shape)
+    assert np.all(np.abs(batch - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
 def test_score_batch_matches_scalar_scores():
@@ -474,37 +487,62 @@ def test_score_batch_matches_scalar_scores():
 # gradients
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_score_gradients_match_finite_differences(kind):
-    spec = small_spec(kind)
-    model = build_interaction(spec)
+def _fd_error(kind, score, step=1e-4):
+    """Finite-difference error of score(model, g, P).sum() over every
+    parameter, at the first initialization away from relu/abs corners."""
+    model = build_interaction(small_spec(kind))
     names = [name for name, _, _ in model.tensor_specs()]
-    rng = np.random.default_rng(15)
-    triples = np.stack(
-        [
-            rng.integers(0, spec.num_entities, 4),
-            rng.integers(0, spec.num_relations, 4),
-            rng.integers(0, spec.num_entities, 4),
-        ],
-        axis=1,
-    )
-    step = 1e-4
 
     def build(g, *leaves):
-        P = dict(zip(names, leaves))
-        return model.score_triples(g, P, triples[:, 0], triples[:, 1], triples[:, 2]).sum()
+        return score(model, g, dict(zip(names, leaves))).sum()
 
     for attempt in range(30):
         params = init_parameters(model, 100 + attempt)
         g = Graph()
-        P = {n: g.leaf(params[n]) for n in names}
-        model.score_triples(g, P, triples[:, 0], triples[:, 1], triples[:, 2])
+        build(g, *[g.leaf(params[n]) for n in names])
         if g.min_kink_distance() <= 10 * step:
             continue  # too close to a relu/abs corner, redraw
-        err = finite_difference_check(build, [params[n] for n in names], step=step)
-        assert err <= 1e-4, f"{kind}: fd relative error {err}"
-        return
+        return finite_difference_check(build, [params[n] for n in names], step=step)
     pytest.fail(f"{kind}: no kink-free parameter draw in 30 attempts")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_score_gradients_match_finite_differences(kind):
+    spec = small_spec(kind)
+    rng = np.random.default_rng(15)
+    h, r, t = (rng.integers(0, n, 4) for n in
+               (spec.num_entities, spec.num_relations, spec.num_entities))
+    err = _fd_error(kind, lambda model, g, P: model.score_triples(g, P, h, r, t))
+    assert err <= 1e-4, f"{kind}: fd relative error {err}"
+
+
+@pytest.mark.parametrize("side", ("tails", "heads"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_all_entity_gradients_match_finite_differences(kind, side):
+    # LCWA trains through score_tails; weights make every entry count apart
+    es, rs = np.array([0, 3, 6]), np.array([2, 0, 1])
+    w = np.random.default_rng(16).normal(size=(len(es), small_spec(kind).num_entities))
+
+    def score(model, g, P):
+        if side == "tails":
+            return model.score_tails(g, P, es, rs) * w
+        return model.score_heads(g, P, rs, es) * w
+
+    err = _fd_error(kind, score)
+    assert err <= 1e-4, f"{kind} {side}: fd relative error {err}"
+
+
+def test_models_state_their_score_once():
+    # the three scoring paths live in the two base classes only, so no model
+    # can fork one of them; each model states its score once
+    from kgembed.models import _REGISTRY, ContextInteraction, Interaction
+
+    paths = {"score_triples", "score_tails", "score_heads"}
+    for cls in _REGISTRY.values():
+        for klass in cls.__mro__[:-1]:
+            if klass not in (Interaction, ContextInteraction):
+                assert not paths & set(vars(klass)), f"{klass.__name__} defines a scoring path"
+        assert "interaction" in vars(cls) or "tail_query" in vars(cls), cls.__name__
 
 
 # ---------------------------------------------------------------------------
