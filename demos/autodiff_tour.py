@@ -33,9 +33,11 @@ print("\nbias grad sums over the broadcast axis:", b.grad)
 
 g = Graph()
 a = g.leaf(np.array([[1.0, -2.0], [0.5, 3.0]]))
-scores = g.logsumexp(a, axis=1)
+# softmax cross entropy against all-zero labels is the row's logsumexp
+scores = g.softmax_xent(a, np.zeros((2, 2)))
 print("\nlogsumexp per row:", scores.value)
-sig = g.sigmoid(a).value
+g.backward(g.softplus(a).sum())
+sig = a.grad  # the derivative of softplus is the sigmoid
 print("sigmoid stays in (0, 1):", sig.min() > 0, sig.max() < 1)
 
 # --- 4. gradients are checked against finite differences -------------------
@@ -47,7 +49,7 @@ rng = np.random.default_rng(0)
 err = finite_difference_check(build, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))])
 print(f"\nworst relative gradient error vs finite differences: {err:.2e}")
 
-# --- 5. kinked ops (relu, abs) can sit on a corner -------------------------
+# --- 5. kinked ops (relu, clip, L1 norm) can sit on a corner --------------
 
 g = Graph()
 z = g.leaf([0.00004, 5.0])

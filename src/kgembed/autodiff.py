@@ -169,30 +169,16 @@ _FORWARD = {
         else np.sqrt(np.sum(a * a, axis=at["axis"], keepdims=at["keepdims"]))
     ),
     "square": lambda at, a: a * a,
-    "exp": lambda at, a: np.exp(a),
     "log": lambda at, a: np.log(a),
-    "abs": lambda at, a: np.abs(a),
     "clip": lambda at, a: np.clip(a, at["lo"], at["hi"]),
-    "sigmoid": lambda at, a: _stable_sigmoid(a),
     "tanh": lambda at, a: np.tanh(a),
     "relu": lambda at, a: np.maximum(a, 0.0),
     "softplus": lambda at, a: _softplus(a),
-    "softmax": lambda at, a: _fw_softmax(a, at["axis"]),
-    "logsumexp": lambda at, a: _fw_logsumexp(a, at["axis"], at["keepdims"]),
     "softmax_xent": lambda at, x, labels: _fw_softmax_xent(at, x, labels),
-    "sin": lambda at, a: np.sin(a),
-    "cos": lambda at, a: np.cos(a),
     "circcorr": lambda at, a, b: _circcorr(a, b),
     "reverse_roll": lambda at, a: _rev_mod(a),
     "conv2d": lambda at, x, f: _fw_conv2d(x, f),
 }
-
-
-def _fw_softmax(x, axis):
-    # max-shift keeps exp() in range regardless of score magnitudes
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def _fw_softmax_xent(at, x, labels):
@@ -203,14 +189,6 @@ def _fw_softmax_xent(at, x, labels):
     lse = m + np.log(np.sum(e, axis=1, keepdims=True))
     at["lse"] = lse
     return lse[:, 0] - np.einsum("be,be->b", labels, x)
-
-
-def _fw_logsumexp(x, axis, keepdims):
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-    return out
 
 
 def _rev_mod(a):
@@ -320,20 +298,6 @@ def _vjp_pnorm(g, node, a):
     return (gg * a / np.maximum(y, _TINY),)
 
 
-def _vjp_softmax(g, node, a):
-    y = node.value
-    axis = node.attrs["axis"]
-    return (y * (g - np.sum(g * y, axis=axis, keepdims=True)),)
-
-
-def _vjp_logsumexp(g, node, a):
-    at = node.attrs
-    gg = _expand_reduced(g, at["axis"], at["keepdims"])
-    m = np.max(a, axis=at["axis"], keepdims=True)
-    e = np.exp(a - m)
-    return (gg * e / np.sum(e, axis=at["axis"], keepdims=True),)
-
-
 def _vjp_softmax_xent(g, node, x, labels):
     # (softmax(x) - labels) * g, built in one buffer
     out = np.subtract(x, node.attrs["lse"])
@@ -373,19 +337,12 @@ _VJP = {
     "mean": _vjp_mean,
     "pnorm": _vjp_pnorm,
     "square": lambda g, node, a: (2.0 * a * g,),
-    "exp": lambda g, node, a: (node.value * g,),
     "log": lambda g, node, a: (g / a,),
-    "abs": lambda g, node, a: (g * np.sign(a),),
     "clip": lambda g, node, a: (g * ((a >= node.attrs["lo"]) & (a <= node.attrs["hi"])),),
-    "sigmoid": lambda g, node, a: (g * node.value * (1.0 - node.value),),
     "tanh": lambda g, node, a: (g * (1.0 - node.value * node.value),),
     "relu": lambda g, node, a: (g * (a > 0.0),),
     "softplus": lambda g, node, a: (g * _stable_sigmoid(a),),
-    "softmax": _vjp_softmax,
-    "logsumexp": _vjp_logsumexp,
     "softmax_xent": _vjp_softmax_xent,
-    "sin": lambda g, node, a: (g * np.cos(a),),
-    "cos": lambda g, node, a: (-g * np.sin(a),),
     "circcorr": lambda g, node, a, b: (
         _unbroadcast(_circcorr(g, b), a.shape),
         _unbroadcast(_circcorr(_rev_mod(g), a), b.shape),  # the convolution of g and a
@@ -395,7 +352,7 @@ _VJP = {
 }
 
 # ops where the derivative jumps; gradient checks must stay away from these inputs
-KINKED_OPS = {"abs", "relu", "clip", "pnorm"}
+KINKED_OPS = {"relu", "clip", "pnorm"}
 
 
 class Node:
@@ -563,20 +520,11 @@ class Graph:
     def square(self, a):
         return self.apply("square", a)
 
-    def exp(self, a):
-        return self.apply("exp", a)
-
     def log(self, a):
         return self.apply("log", a)
 
-    def abs(self, a):
-        return self.apply("abs", a)
-
     def clip(self, a, lo, hi):
         return self.apply("clip", a, lo=float(lo), hi=float(hi))
-
-    def sigmoid(self, a):
-        return self.apply("sigmoid", a)
 
     def tanh(self, a):
         return self.apply("tanh", a)
@@ -586,12 +534,6 @@ class Graph:
 
     def softplus(self, a):
         return self.apply("softplus", a)
-
-    def softmax(self, a, axis=-1):
-        return self.apply("softmax", a, axis=axis)
-
-    def logsumexp(self, a, axis=-1, keepdims=False):
-        return self.apply("logsumexp", a, axis=axis, keepdims=keepdims)
 
     def softmax_xent(self, scores, labels):
         """Per-row softmax cross entropy of (B, E) scores against a label array.
@@ -607,12 +549,6 @@ class Graph:
             )
         return self.apply("softmax_xent", scores, labels)
 
-    def sin(self, a):
-        return self.apply("sin", a)
-
-    def cos(self, a):
-        return self.apply("cos", a)
-
     def circcorr(self, a, b):
         return self.apply("circcorr", a, b)
 
@@ -621,11 +557,6 @@ class Graph:
 
     def conv2d(self, x, filters):
         return self.apply("conv2d", x, filters)
-
-    def transpose(self, a, axes=None):
-        if axes is None:
-            axes = tuple(reversed(range(a.value.ndim)))
-        return self.apply("transpose", a, axes=tuple(axes))
 
     # ----- backward --------------------------------------------------------
 
@@ -672,7 +603,7 @@ class Graph:
     def min_kink_distance(self):
         """Smallest |input - kink| over all kink-sensitive ops in the graph.
 
-        Gradient checks near a relu/abs/clip corner are meaningless; callers
+        Gradient checks near a relu/clip/L1-norm corner are meaningless; callers
         redraw their sample point when this falls under the step size.
         Returns +inf when the graph holds no kinked op.
         """

@@ -7,7 +7,6 @@ scanning train, then valid, then test, so the same files always produce the
 same vocabulary.
 """
 
-import json
 import logging
 from collections import OrderedDict
 
@@ -147,37 +146,6 @@ class TripleStore:
             os.path.join(path, "valid.txt"),
             os.path.join(path, "test.txt"),
         )
-
-    # ----- serialization ----------------------------------------------------
-
-    def to_json(self):
-        return {
-            "entities": self.entity_labels,
-            "relations": self.relation_labels,
-            "inverse_augmented": self.inverse_augmented,
-            "num_base_relations": self.num_base_relations,
-            "triples": {split: self.triples[split].tolist() for split in SPLITS},
-        }
-
-    def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f)
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(
-            {label: i for i, label in enumerate(doc["entities"])},
-            {label: i for i, label in enumerate(doc["relations"])},
-            {split: np.asarray(rows, dtype=np.intp).reshape(-1, 3)
-             for split, rows in doc["triples"].items()},
-            inverse_augmented=doc["inverse_augmented"],
-            num_base_relations=doc["num_base_relations"],
-        )
-
-    @classmethod
-    def load_json(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
 
 
 def add_inverse_relations(store):

@@ -33,7 +33,8 @@ from .evaluation import rank_test_split
 from .losses import SLCWA_KINDS, LCWA_KINDS
 from .models import KINDS, MAX_WIDTH
 from .pipeline import build_model, train_run
-from .sampling import derive_seed, rng_for
+from .sampling import SAMPLERS, derive_seed, rng_for
+from .training import APPROACHES, OPTIMIZERS
 
 log = logging.getLogger(__name__)
 
@@ -58,9 +59,9 @@ class SearchSpace:
     """
 
     models: tuple = ("distmult",)
-    approaches: tuple = ("slcwa", "lcwa")
+    approaches: tuple = APPROACHES
     embedding_dims: tuple = (64, 128, 256)
-    optimizers: tuple = ("adam", "adadelta")
+    optimizers: tuple = OPTIMIZERS
     learning_rate_range: tuple = (0.001, 0.1)
     batch_sizes: tuple = (128, 256, 512)
     inverse_choices: tuple = (False, True)
@@ -92,16 +93,15 @@ class SearchSpace:
         unknown = set(self.models) - set(KINDS)
         if unknown:
             raise ValueError(f"unknown interaction kinds {sorted(unknown)}")
-        if set(self.approaches) - {"slcwa", "lcwa"}:
-            raise ValueError("approaches must be a subset of {'slcwa', 'lcwa'}")
+        for name, allowed in (("approaches", APPROACHES), ("optimizers", OPTIMIZERS),
+                              ("samplers", SAMPLERS)):
+            if set(getattr(self, name)) - set(allowed):
+                choices = ", ".join(map(repr, allowed))
+                raise ValueError(f"{name} must be a subset of {{{choices}}}")
         if set(self.slcwa_losses) - set(SLCWA_KINDS):
             raise ValueError("slcwa_losses contains a loss the approach cannot train")
         if set(self.lcwa_losses) - set(LCWA_KINDS):
             raise ValueError("lcwa_losses contains a loss the approach cannot train")
-        if set(self.optimizers) - {"adam", "adadelta"}:
-            raise ValueError("optimizers must be a subset of {'adam', 'adadelta'}")
-        if set(self.samplers) - {"uniform", "bernoulli"}:
-            raise ValueError("samplers must be a subset of {'uniform', 'bernoulli'}")
         for name in ("learning_rate_range", "label_smoothing_range"):
             lo, hi = getattr(self, name)  # drawn in log space
             if not (0 < lo < hi < np.inf):

@@ -10,14 +10,15 @@ Every model follows the same conventions:
   * score_tails / score_heads return a (batch, num_entities) score matrix and
     must agree with the scalar path to 1e-10
 
-Each model states its score once, and the base classes derive all three
-paths from it. A model names the tables it reads (`entity_tables`,
-`relation_tables`) and either defines `interaction(g, P, h, r, t)` over
-representations shaped (B, N, ...) that broadcast against each other (N = 1
-for single triples, E for the candidate side), or, when its score is an
-inner product <q(h, r), k(t)>, derives from ContextInteraction and defines
-`tail_query`, optionally `head_query` and `keys`, so that both all-entity
-sides are one matmul.
+Each model states its parameter shapes once, in `tensor_specs`, from which
+initialization, checkpoints and `parameter_count` follow, and its score
+once, from which the base classes derive all three paths. A model names the
+tables it reads (`entity_tables`, `relation_tables`) and either defines
+`interaction(g, P, h, r, t)` over representations shaped (B, N, ...) that
+broadcast against each other (N = 1 for single triples, E for the candidate
+side), or, when its score is an inner product <q(h, r), k(t)>, derives from
+ContextInteraction and defines `tail_query`, optionally `head_query` and
+`keys`, so that both all-entity sides are one matmul.
 
 Dimensions follow the usual conventions: d_e entity dim, d_r relation dim,
 k an extra per-kind width (TransD projection size, NTN slice count, ERMLP
@@ -26,6 +27,7 @@ hidden width).
 
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -45,6 +47,11 @@ KINDS = (
     "tucker", "proje", "hole", "kg2e", "ermlp", "ntn",
     "convkb", "conve",
 )
+
+
+def _size(shape):
+    """Element count of `shape` as an exact Python int; np.prod wraps in int64."""
+    return math.prod(int(n) for n in shape)
 
 
 def _conv_rows(d_e, kernel):
@@ -242,7 +249,11 @@ class Interaction:
             raise ValueError(f"spec kind {spec.kind!r} does not match model {self.kind!r}")
         self.spec = spec
 
-    # subclasses provide: tensor_specs, parameter_count, interaction
+    # subclasses provide: tensor_specs, and interaction or tail_query
+
+    def parameter_count(self):
+        """Trainable scalars: the exact sum of the tensor_specs sizes."""
+        return sum(_size(shape) for _, shape, _ in self.tensor_specs())
 
     def leaves(self, g, params, trainable=True):
         """Register every parameter tensor as a leaf of `g`."""
@@ -369,10 +380,6 @@ class UM(Interaction):
         s = self.spec
         return [("entity", (s.num_entities, s.d_e), "xavier")]
 
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e
-
     def interaction(self, g, P, h, r, t):
         return -g.square(h - t).sum(axis=-1)
 
@@ -392,10 +399,6 @@ class SE(Interaction):
             ("m_tail", (s.num_relations, s.d_e, s.d_e), "xavier"),
         ]
 
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e + 2 * s.num_relations * s.d_e * s.d_e
-
     def interaction(self, g, P, h, r, t):
         mh, mt = r
         u = g.einsum("bnij,bnj->bni", mh, h)
@@ -414,10 +417,6 @@ class TransE(Interaction):
             ("entity", (s.num_entities, s.d_e), "xavier"),
             ("relation", (s.num_relations, s.d_e), "xavier"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e + s.num_relations * s.d_e
 
     def interaction(self, g, P, h, r, t):
         return -g.pnorm(_translation(h, r, t), p=self.spec.p, axis=-1)
@@ -441,10 +440,6 @@ class TransH(Interaction):
             ("translation", (s.num_relations, s.d_e), "xavier"),
         ]
 
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
-
     def interaction(self, g, P, h, r, t):
         w, d = r
         w = w / g.pnorm(w, p=2, axis=-1, keepdims=True)
@@ -466,14 +461,6 @@ class TransR(Interaction):
             ("relation", (s.num_relations, s.d_r), "xavier"),
             ("projection", (s.num_relations, s.d_r, s.d_e), "xavier"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return (
-            s.num_entities * s.d_e
-            + s.num_relations * s.d_r
-            + s.num_relations * s.d_r * s.d_e
-        )
 
     def interaction(self, g, P, h, r, t):
         r, M = r
@@ -502,10 +489,6 @@ class TransD(Interaction):
             ("relation", (s.num_relations, s.k), "xavier"),
             ("relation_p", (s.num_relations, s.k), "xavier"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return 2 * s.num_entities * s.d_e + 2 * s.num_relations * s.k
 
     def _resize(self, g, x):
         """First k components of x along the last axis, zero-padded if k > d_e."""
@@ -539,10 +522,6 @@ class RESCAL(ContextInteraction):
             ("relation", (s.num_relations, s.d_e, s.d_e), "xavier"),
         ]
 
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e + s.num_relations * s.d_e * s.d_e
-
     def tail_query(self, g, P, h, r):
         return g.einsum("bni,bnij->bnj", h, r)
 
@@ -561,10 +540,6 @@ class DistMult(ContextInteraction):
             ("entity", (s.num_entities, s.d_e), "xavier"),
             ("relation", (s.num_relations, s.d_e), "xavier"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e + s.num_relations * s.d_e
 
     def tail_query(self, g, P, h, r):
         return h * r
@@ -589,10 +564,6 @@ class ComplEx(ContextInteraction):
             ("entity", (s.num_entities, 2 * s.d_e), "xavier"),
             ("relation", (s.num_relations, 2 * s.d_e), "xavier"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return 2 * s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
 
     def _split(self, x):
         d = self.spec.d_e
@@ -625,10 +596,6 @@ class RotatE(Interaction):
             ("entity", (s.num_entities, 2 * s.d_e), "xavier"),
             ("relation", (s.num_relations, 2 * s.d_e), "phase"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return 2 * s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
 
     def interaction(self, g, P, h, r, t):
         d = self.spec.d_e
@@ -669,10 +636,6 @@ class SimplE(ContextInteraction):
             ("relation_inv", (s.num_relations, s.d_e), "xavier"),
         ]
 
-    def parameter_count(self):
-        s = self.spec
-        return 2 * s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
-
     def keys(self, g, P, e):
         return g.concat([e[1], e[0]], axis=-1)
 
@@ -704,15 +667,6 @@ class TuckER(ContextInteraction):
             ("scale1", (s.d_e,), "ones"),
             ("shift1", (s.d_e,), "zeros"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return (
-            s.num_entities * s.d_e
-            + s.num_relations * s.d_r
-            + s.d_e * s.d_r * s.d_e
-            + 4 * s.d_e
-        )
 
     def tail_query(self, g, P, h, r):
         x = h * P["scale0"] + P["shift0"]
@@ -750,10 +704,6 @@ class ProjE(ContextInteraction):
             ("b_project", (1,), "zeros"),
         ]
 
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e + s.num_relations * s.d_e + 3 * s.d_e + 1
-
     def tail_query(self, g, P, h, r):
         z = g.tanh(h * P["d_entity"] + r * P["d_relation"] + P["b_combine"])
         return z, P["b_project"][0]
@@ -777,10 +727,6 @@ class HolE(ContextInteraction):
             ("entity", (s.num_entities, s.d_e), "xavier"),
             ("relation", (s.num_relations, s.d_e), "xavier"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e + s.num_relations * s.d_e
 
     def tail_query(self, g, P, h, r):
         return g.circcorr(g.reverse_roll(h), r)
@@ -811,10 +757,6 @@ class KG2E(Interaction):
             ("relation_mu", (s.num_relations, s.d_e), "xavier"),
             ("relation_cov", (s.num_relations, s.d_e), "cov_mid"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return 2 * s.num_entities * s.d_e + 2 * s.num_relations * s.d_e
 
     def project_parameters(self, params):
         np.clip(params["entity_cov"], self.spec.c_min, self.spec.c_max,
@@ -856,15 +798,6 @@ class ERMLP(Interaction):
             ("b_out", (1,), "zeros"),
         ]
 
-    def parameter_count(self):
-        s = self.spec
-        return (
-            s.num_entities * s.d_e
-            + s.num_relations * s.d_e
-            + s.k * (3 * s.d_e + 2)
-            + 1
-        )
-
     def interaction(self, g, P, h, r, t):
         hidden = g.tanh(_linear(g, [h, r, t], P["w_hidden"],
                                 lambda x, w: g.einsum("bnj,kj->bnk", x, w), P["b_hidden"]))
@@ -887,12 +820,6 @@ class NTN(Interaction):
             ("b", (s.num_relations, s.k), "zeros"),
             ("u", (s.num_relations, s.k), "xavier"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return s.num_entities * s.d_e + s.num_relations * s.k * (
-            s.d_e * s.d_e + 2 * s.d_e + 2
-        )
 
     def interaction(self, g, P, h, r, t):
         W, V, b, u = r
@@ -928,15 +855,6 @@ class ConvKB(Interaction):
             ("w_out", (s.tau, s.d_e), "xavier"),
             ("b_out", (1,), "zeros"),
         ]
-
-    def parameter_count(self):
-        s = self.spec
-        return (
-            s.num_entities * s.d_e
-            + s.num_relations * s.d_e
-            + s.tau * (s.d_e + 4)
-            + 1
-        )
 
     def interaction(self, g, P, h, r, t):
         tau, width = self.spec.tau, self.spec.d_e * self.spec.tau
@@ -980,21 +898,6 @@ class ConvE(ContextInteraction):
             ("entity_bias", (s.num_entities,), "zeros"),
         ]
 
-    def parameter_count(self):
-        s = self.spec
-        mo, no = s.conv_out
-        return (
-            s.num_entities * s.d_e
-            + s.num_relations * s.d_e
-            + s.d_e
-            + s.tau * s.kernel[0] * s.kernel[1]
-            + 2
-            + 2 * s.tau
-            + 2 * s.d_e
-            + mo * no * s.tau * s.d_e
-            + s.num_entities
-        )
-
     def tail_query(self, g, P, h, r):
         """Entity-space representation of (h, r): everything before the tail."""
         s = self.spec
@@ -1032,7 +935,7 @@ def build_interaction(spec):
 
 
 def parameter_count(spec):
-    """Closed-form trainable parameter count for a spec."""
+    """Trainable parameter count for a spec, exact at any width; allocates nothing."""
     return build_interaction(spec).parameter_count()
 
 
@@ -1086,7 +989,7 @@ def load_checkpoint(path):
         wanted = [(name, shape) for name, shape, _ in build_interaction(spec).tensor_specs()]
         if sorted(tensors) != sorted(wanted) or not isinstance(extra, dict):
             raise ValueError(f"{path}: header does not describe a {spec.kind} checkpoint")
-        sizes = [int(np.prod(shape)) for _, shape in tensors]
+        sizes = [_size(shape) for _, shape in tensors]
         if len(data) != offset + 8 * sum(sizes):
             raise ValueError(f"{path}: {len(data) - offset} tensor bytes, the header needs "
                              f"{8 * sum(sizes)}")

@@ -35,8 +35,9 @@ from .evaluation import make_validation_callback, rank_test_split
 from .losses import LossSpec, SLCWA_KINDS, LCWA_KINDS, KINDS as LOSS_KINDS
 from .models import (KINDS as MODEL_KINDS, MAX_WIDTH, InteractionSpec,
                      build_interaction, init_parameters, save_checkpoint)
-from .sampling import derive_seed
-from .training import OptimizerSpec, TrainingConfig, train, utc_timestamp
+from .sampling import SAMPLERS, derive_seed
+from .training import (APPROACHES, OPTIMIZERS, STOPPER_METRICS, OptimizerSpec,
+                       TrainingConfig, train, utc_timestamp)
 
 log = logging.getLogger(__name__)
 
@@ -81,14 +82,14 @@ _MODEL_FIELDS = {"d_e": int, "d_r": int, "k": int, "tau": int, "kernel": [int],
 # optional fields of each section: default and value check; a field takes
 # the JSON type of its default
 _LOSS_FIELDS = {"margin": (1.0, None), "adversarial_temperature": (1.0, _above_zero)}
-_OPTIMIZER_FIELDS = {"kind": ("adam", _one_of("adam", "adadelta")),
+_OPTIMIZER_FIELDS = {"kind": ("adam", _one_of(*OPTIMIZERS)),
                      "learning_rate": (0.01, _above_zero)}
 _TRAINING_FIELDS = {
     "batch_size": (256, _at_least(1)),
     "num_epochs": (1000, _at_least(1)),
     "num_negatives": (32, lambda v: None if 1 <= v <= MAX_WIDTH
                       else f"must lie in [1, {MAX_WIDTH}]"),
-    "sampler": ("uniform", _one_of("uniform", "bernoulli")),
+    "sampler": ("uniform", _one_of(*SAMPLERS)),
     "filtered_sampling": (False, None),
     "label_smoothing": (0.0, lambda v: None if 0 <= v < 1 else "must lie in [0, 1)"),
 }
@@ -96,7 +97,7 @@ _STOPPING_FIELDS = {
     "enabled": (True, None),
     "frequency": (50, _at_least(1)),
     "patience": (100, _at_least(1)),
-    "metric": ("hits_at_10", _one_of("hits_at_10", "mrr")),
+    "metric": ("hits_at_10", _one_of(*STOPPER_METRICS)),
 }
 _RUN_FIELDS = {"inverse_relations": (False, None), "seed": (0, _at_least(0))}
 _STUDY_FIELDS = {
@@ -220,7 +221,7 @@ def normalize_config(doc):
 
     training = _section(doc, "training", problems)
     t = {"approach": _take(training, "training", "approach", str, ..., problems,
-                           check=_one_of("slcwa", "lcwa"))}
+                           check=_one_of(*APPROACHES))}
     loss = _section(training, "training.loss", problems)
     t["loss"] = {"kind": _take(loss, "training.loss", "kind", str, ..., problems,
                                check=lambda v: None if v in LOSS_KINDS

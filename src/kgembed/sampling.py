@@ -22,6 +22,8 @@ import numpy as np
 
 from .datasets import FilterIndex, relation_stats
 
+SAMPLERS = ("uniform", "bernoulli")
+
 
 def derive_seed(master, stage):
     """Child seed for a named stage: master XOR crc32(stage name)."""
@@ -47,7 +49,7 @@ class NegativeSampler:
     MAX_REDRAWS = 20
 
     def __init__(self, store, kind="uniform", filtered=False, filter_index=None):
-        if kind not in ("uniform", "bernoulli"):
+        if kind not in SAMPLERS:
             raise ValueError(f"unknown sampler kind {kind!r}")
         self.kind = kind
         self.num_entities = store.num_entities

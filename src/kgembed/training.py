@@ -25,6 +25,8 @@ from .sampling import NegativeSampler, LCWATask, slcwa_batches, lcwa_batches, rn
 log = logging.getLogger(__name__)
 
 APPROACHES = ("slcwa", "lcwa")
+OPTIMIZERS = ("adam", "adadelta")
+STOPPER_METRICS = ("hits_at_10", "mrr")
 
 
 def utc_timestamp():
@@ -46,7 +48,7 @@ class OptimizerSpec:
     eps: float = None  # resolved per kind below
 
     def __post_init__(self):
-        if self.kind not in ("adam", "adadelta"):
+        if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
@@ -160,7 +162,7 @@ class TrainingConfig:
     batch_size: int = 256
     num_epochs: int = 1000
     num_negatives: int = 32          # negatives per positive (slcwa)
-    sampler: str = "uniform"         # "uniform" or "bernoulli"
+    sampler: str = "uniform"         # one of sampling.SAMPLERS
     filtered_sampling: bool = False
     label_smoothing: float = 0.0     # lcwa only
     seed: int = 0
@@ -182,8 +184,8 @@ class TrainingConfig:
             raise ValueError("batch size must be positive")
         if self.patience < self.eval_frequency:
             raise ValueError("patience shorter than the evaluation frequency never fires")
-        if self.stopper_metric not in ("hits_at_10", "mrr"):
-            raise ValueError("stopper metric must be 'hits_at_10' or 'mrr'")
+        if self.stopper_metric not in STOPPER_METRICS:
+            raise ValueError("stopper metric must be " + " or ".join(map(repr, STOPPER_METRICS)))
 
 
 def _clamped(g, model, scores):

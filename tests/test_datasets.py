@@ -285,26 +285,3 @@ def test_filter_index_misses_return_empty_arrays():
     assert idx.tails(1, 0).shape == (0,)
     assert idx.heads(0, 0).shape == (0,)
     assert not idx.contains(1, 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_json_round_trip(tmp_path):
-    s = add_inverse_relations(
-        TripleStore.from_labeled_triples(
-            [("a", "r1", "b"), ("b", "r2", "c")],
-            valid=[("a", "r2", "c")],
-            test=[("c", "r1", "a")],
-        )
-    )
-    path = tmp_path / "store.json"
-    s.save_json(path)
-    back = TripleStore.load_json(path)
-    assert back.entity_to_id == s.entity_to_id
-    assert back.relation_to_id == s.relation_to_id
-    assert back.inverse_augmented == s.inverse_augmented
-    assert back.num_base_relations == s.num_base_relations
-    for sp in ("train", "valid", "test"):
-        assert np.array_equal(back.triples[sp], s.triples[sp])

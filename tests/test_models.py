@@ -576,6 +576,27 @@ def test_parameter_count_equals_materialized_sizes(kind):
         assert parameter_count(spec) == total
 
 
+def test_parameter_count_is_exact_beyond_int64_without_allocating():
+    # the count is read off tensor_specs, which no model restates
+    import tracemalloc
+    from kgembed.models import _REGISTRY, MAX_WIDTH
+
+    assert not any("parameter_count" in vars(cls) for cls in _REGISTRY.values())
+    tucker = InteractionSpec("tucker", num_entities=1, num_relations=1, d_e=2**22, d_r=2**20)
+    w = MAX_WIDTH
+    ntn = InteractionSpec("ntn", num_entities=1, num_relations=1, d_e=w, k=w)
+    tracemalloc.start()
+    try:
+        counts = parameter_count(tucker), parameter_count(ntn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the core alone holds 2**64 scalars, one more than int64 can count
+    assert counts[0] == 18446744073731571712
+    assert counts[1] == w**3 + 2 * w**2 + 3 * w  # entity, w, v, b, u
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
@@ -661,6 +682,19 @@ def test_checkpoint_handles_scalar_shaped_tensors(tmp_path):
     assert extra == {}
     assert params2["b_project"].shape == (1,)
     assert np.array_equal(params2["b_project"], params["b_project"])
+
+
+def test_checkpoint_size_check_is_exact_beyond_int64(tmp_path):
+    # the core has 2**64 elements: an int64 size wraps to 176160768 bytes,
+    # and a file that long would pass the length check
+    spec = InteractionSpec("tucker", num_entities=1, num_relations=1, d_e=2**22, d_r=2**20)
+    tensors = [{"name": name, "shape": list(shape)}
+               for name, shape, _ in build_interaction(spec).tensor_specs()]
+    blob = json.dumps({"spec": spec.to_dict(), "tensors": tensors, "extra": {}}).encode()
+    path = tmp_path / "huge.kge"
+    path.write_bytes(b"KGE1" + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(ValueError, match="the header needs 147573952589852573696$"):
+        load_checkpoint(path)
 
 
 def _rewrite_header(path, edit):
