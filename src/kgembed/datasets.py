@@ -217,20 +217,53 @@ class FilterIndex:
         h, r, t = store.all_triples(splits).astype(np.int64).T
         self.tail_keys = np.unique((h * R + r) * E + t)
         self.head_keys = np.unique((r * E + t) * E + h)
+        self._adj = {}  # side -> keys - arange, built on the first draw
 
-    def _pairs(self, side, a, b):
-        """(rows, entities) of every known completion of the query batch
-        (a[i], b[i]): (h, r) for side "tail", (r, t) for side "head"."""
+    def _range(self, side, a, b):
+        """Keys plus each query's range start, first key position and key
+        count: (h, r) queries for side "tail", (r, t) for side "head"."""
         E = self.num_entities
         keys = self.tail_keys if side == "tail" else self.head_keys
         width = self.num_relations if side == "tail" else E
         start = (np.asarray(a, dtype=np.int64) * width + b).reshape(-1) * E
         lo = np.searchsorted(keys, start)
-        counts = np.searchsorted(keys, start + E) - lo
+        return keys, start, lo, np.searchsorted(keys, start + E) - lo
+
+    def _pairs(self, side, a, b):
+        """(rows, entities) of every known completion of the query batch
+        (a[i], b[i])."""
+        keys, start, lo, counts = self._range(side, a, b)
         rows = np.repeat(np.arange(start.size), counts)
         # a row's entries sit at lo, lo + 1, ... of its range
         pos = np.arange(rows.size) + (lo - np.cumsum(counts) + counts)[rows]
         return rows, keys[pos] - start[rows]
+
+    def draw_unknown(self, side, a, b, exclude, rng):
+        """One entity per query (a[i], b[i]), uniform over the entities that
+        are neither a known completion nor exclude[i].
+
+        The u-th such entity is found in one pass: adj = keys - arange is
+        nondecreasing, so searchsorted on it counts the known completions at
+        or below the answer. A saturated query, whose every entity but
+        exclude[i] is known, has no such entity; it draws uniformly over the
+        entities other than exclude[i] instead. Returns (entities, saturated).
+        """
+        E = self.num_entities
+        keys, start, lo, count = self._range(side, a, b)
+        if side not in self._adj:
+            self._adj[side] = keys - np.arange(keys.size)
+        exclude = np.asarray(exclude, dtype=np.int64).reshape(-1)
+        key = start + exclude
+        below = np.searchsorted(keys, key) - lo  # known completions below exclude
+        unknown = np.searchsorted(keys, key, "right") - lo == below
+        free = E - count - unknown
+        saturated = free == 0
+        u = rng.integers(0, np.where(saturated, E - 1, free))
+        # u ranks the entities outside the known completions (outside nothing
+        # when saturated); step past exclude where it is ranked among them
+        u += (saturated | unknown) & (u >= np.where(saturated, exclude, exclude - below))
+        found = u + np.searchsorted(self._adj[side], start - lo + u, "right") - lo
+        return np.where(saturated, u, found), saturated
 
     def tails(self, h, r):
         """All known true tails t such that (h, r, t) is a stored triple."""

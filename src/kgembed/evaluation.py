@@ -20,7 +20,6 @@ expectation under random scoring, 0.5 * mean(xi + 1), so 1.0 means chance
 level regardless of entity count.
 """
 
-import csv
 import functools
 import json
 from dataclasses import dataclass
@@ -153,13 +152,6 @@ class RankingResult:
                 row.update(m)
                 rows.append(row)
         return rows
-
-    def save_csv(self, path, definitions=RANK_DEFINITIONS, sides=None):
-        rows = self.csv_rows(definitions, sides)
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
 
 
 def _score_matrix(model, params, side, triples, use_inverse, base_relations):

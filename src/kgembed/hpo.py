@@ -121,10 +121,6 @@ class SearchSpace:
         return {k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in asdict(self).items()}
 
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(**doc)
-
 
 def _choice(rng, seq):
     return seq[int(rng.integers(len(seq)))]
@@ -195,10 +191,6 @@ class Budget:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(**doc)
 
 
 @dataclass

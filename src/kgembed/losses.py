@@ -45,17 +45,6 @@ class LossSpec:
         if self.adversarial_temperature <= 0:
             raise ValueError("adversarial_temperature must be positive")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "margin": self.margin,
-            "adversarial_temperature": self.adversarial_temperature,
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(**doc)
-
 
 def _sign_labels(labels):
     # {0,1} -> {-1,+1}; smoothed labels become soft signs in (-1, 1)

@@ -374,7 +374,6 @@ def build_training_config(cfg):
             seed=cfg["seed"],
             eval_frequency=frequency,
             patience=max(s["patience"], frequency),
-            stopper_metric=s["metric"],
         )
     except ValueError as e:
         raise ConfigError([f"training: {e}"])

@@ -11,9 +11,10 @@ corrupted with probability tph / (tph + hpt), which corrupts the dense side
 of skewed relations less often and so produces fewer false negatives. The
 replacement entity is uniform over all entities except the positive's own.
 The corrupted side is redrawn per negative, never once per positive.
-Filtered sampling redraws known training triples on the same side, in
-vectorized rounds over the batch, up to MAX_REDRAWS rounds; the known
-triples left after that are counted in residual_false_negatives.
+Filtered sampling draws the replacement uniformly from the entities that
+complete no known training triple, in one draw per side; a query with no
+such entity keeps the unfiltered draw and is counted in
+residual_false_negatives.
 """
 
 import zlib
@@ -39,13 +40,15 @@ class NegativeSampler:
 
     kind: "uniform" corrupts head or tail with equal probability;
     "bernoulli" uses per-relation tph/hpt statistics from the training split.
-    With filtered=True, negatives that collide with known true triples are
-    redrawn for up to MAX_REDRAWS rounds (default off: the occasional false
-    negative is part of the training signal); residual_false_negatives
-    counts the known triples returned anyway, over all calls. The
-    training-split filter_index also serves the Bernoulli statistics.
+    filtered=True (default off: the occasional false negative is part of the
+    training signal) draws each replacement with FilterIndex.draw_unknown;
+    residual_false_negatives counts, over all calls, the saturated queries
+    that return a known triple anyway. The training-split filter_index also
+    serves the Bernoulli statistics.
     """
 
+    # no longer used by the sampler, which draws filtered negatives exactly;
+    # kept for callers that still read the old redraw cap
     MAX_REDRAWS = 20
 
     def __init__(self, store, kind="uniform", filtered=False, filter_index=None):
@@ -62,52 +65,31 @@ class NegativeSampler:
             tph, hpt = relation_stats(store, index=filter_index)
             self.head_prob = tph / (tph + hpt)
         else:
-            self.head_prob = None
-
-    def head_probability(self, r):
-        """Probability that a positive with relation r gets its head corrupted."""
-        if self.kind == "uniform":
-            return 0.5
-        return float(self.head_prob[r])
-
-    def _replacement(self, rng, original):
-        # uniform over all entities except the original: draw from E-1 slots
-        # and shift draws at or above the original up by one
-        draw = rng.integers(0, self.num_entities - 1, size=original.shape)
-        return draw + (draw >= original)
+            self.head_prob = np.full(store.num_relations, 0.5)
 
     def corrupt(self, rng, positives, num_negatives):
         """(B, 3) positives -> (B, K, 3) negatives."""
         positives = np.asarray(positives, dtype=np.intp).reshape(-1, 3)
-        B = positives.shape[0]
-        K = int(num_negatives)
+        B, K = positives.shape[0], int(num_negatives)
         neg = np.repeat(positives[:, None, :], K, axis=1)
-        if self.kind == "uniform":
-            corrupt_head = rng.random((B, K)) < 0.5
-        else:
-            p = self.head_prob[positives[:, 1]]
-            corrupt_head = rng.random((B, K)) < p[:, None]
-
+        corrupt_head = rng.random((B, K)) < self.head_prob[positives[:, 1]][:, None]
+        if self.filtered:
+            for side, mask, column, (a, b) in (("head", corrupt_head, 0, (1, 2)),
+                                              ("tail", ~corrupt_head, 2, (0, 1))):
+                rows = neg[mask]
+                drawn, saturated = self._filter.draw_unknown(
+                    side, rows[:, a], rows[:, b], rows[:, column], rng)
+                neg[mask, column] = drawn
+                self.residual_false_negatives += int(saturated.sum())
+            return neg
+        # uniform over all entities except the original: draw from E-1 slots
+        # and shift draws at or above the original up by one
         originals = np.where(corrupt_head, neg[:, :, 0], neg[:, :, 2])
-        replacement = self._replacement(rng, originals)
+        draw = rng.integers(0, self.num_entities - 1, size=originals.shape)
+        replacement = draw + (draw >= originals)
         neg[:, :, 0] = np.where(corrupt_head, replacement, neg[:, :, 0])
         neg[:, :, 2] = np.where(corrupt_head, neg[:, :, 2], replacement)
-
-        if self.filtered:
-            self._redraw_true(rng, neg.reshape(-1, 3), corrupt_head.ravel(), originals.ravel())
         return neg
-
-    def _redraw_true(self, rng, flat, corrupt_head, originals):
-        """Redraw known (N, 3) negatives in place; never to `originals`."""
-        fi = self._filter
-        todo = np.flatnonzero(fi.contains(*flat.T))
-        for _ in range(self.MAX_REDRAWS):
-            if todo.size == 0:
-                break
-            column = np.where(corrupt_head[todo], 0, 2)
-            flat[todo, column] = self._replacement(rng, originals[todo])
-            todo = todo[fi.contains(*flat[todo].T)]
-        self.residual_false_negatives += todo.size
 
 
 def slcwa_batches(store, batch_size, rng):

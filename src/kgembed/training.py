@@ -55,14 +55,6 @@ class OptimizerSpec:
         if self.eps is None:
             self.eps = 1e-8 if self.kind == "adam" else 1e-6
 
-    def to_dict(self):
-        return {"kind": self.kind, "lr": self.lr, "beta1": self.beta1,
-                "beta2": self.beta2, "rho": self.rho, "eps": self.eps}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(**doc)
-
 
 def _scratch(params):
     """Two flat buffers big enough for any parameter tensor's update."""
@@ -168,7 +160,6 @@ class TrainingConfig:
     seed: int = 0
     eval_frequency: int = 50         # epochs between validation evaluations
     patience: int = 100              # epochs without improvement before stopping
-    stopper_metric: str = "hits_at_10"
 
     def __post_init__(self):
         if self.approach not in APPROACHES:
@@ -184,8 +175,6 @@ class TrainingConfig:
             raise ValueError("batch size must be positive")
         if self.patience < self.eval_frequency:
             raise ValueError("patience shorter than the evaluation frequency never fires")
-        if self.stopper_metric not in STOPPER_METRICS:
-            raise ValueError("stopper metric must be " + " or ".join(map(repr, STOPPER_METRICS)))
 
 
 def _clamped(g, model, scores):

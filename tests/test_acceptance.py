@@ -423,7 +423,7 @@ def test_bernoulli_corruption_frequencies_match_cardinality_stats():
     worst = 0.0
     freqs = []
     for r, (h, t) in enumerate([(0, 1), (4, 7), (8, 9)]):
-        assert sampler.head_probability(r) == expected[r]
+        assert sampler.head_prob[r] == expected[r]
         neg = sampler.corrupt(rng, np.array([[h, r, t]]), draws)
         freq = float(np.mean(neg[0, :, 0] != h))
         freqs.append(freq)

@@ -285,3 +285,44 @@ def test_filter_index_misses_return_empty_arrays():
     assert idx.tails(1, 0).shape == (0,)
     assert idx.heads(0, 0).shape == (0,)
     assert not idx.contains(1, 0, 0)
+
+
+class FeedEvery:
+    """Stands in for a numpy Generator: integers(0, high) returns 0, 1, ...
+    one per query, after checking that every query has the expected high."""
+
+    def __init__(self, high):
+        self.high = high
+
+    def integers(self, low, high):
+        assert low == 0 and np.all(np.asarray(high) == self.high)
+        return np.arange(np.size(high))
+
+
+def test_draw_unknown_maps_each_draw_to_one_entity_of_the_complement():
+    # tail queries (h, r0) with 0, 2, E - 1 and E known tails; the head side
+    # adds 1 and 3; every entity is tried as exclude, known or not
+    E = 5
+    tails = {(1, 0): {0, 2}, (2, 0): {0, 1, 2, 3}, (3, 0): set(range(E)), (4, 1): {4}}
+    rows = [(h, r, t) for (h, r), ts in tails.items() for t in sorted(ts)]
+    store = TripleStore({f"e{i}": i for i in range(E)}, {"r0": 0, "r1": 1},
+                        {"train": rows})
+    idx = FilterIndex(store)
+    seen = set()
+    for side in ("tail", "head"):
+        for a in range(E if side == "tail" else 2):
+            for b in range(2 if side == "tail" else E):
+                known = {t for h, r, t in rows if (h, r) == (a, b)} if side == "tail" \
+                    else {h for h, r, t in rows if (r, t) == (a, b)}
+                seen.add(len(known))
+                for exclude in range(E):
+                    want = sorted(set(range(E)) - known - {exclude})
+                    saturated = not want
+                    if saturated:  # the unfiltered rule: any entity but exclude
+                        want = sorted(set(range(E)) - {exclude})
+                    n = len(want)
+                    got, flags = idx.draw_unknown(side, [a] * n, [b] * n, [exclude] * n,
+                                                  FeedEvery(n))
+                    assert got.tolist() == want, (side, a, b, exclude)
+                    assert flags.tolist() == [saturated] * n
+    assert {0, 1, 2, 3, E - 1, E} <= seen

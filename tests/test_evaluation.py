@@ -237,10 +237,6 @@ def test_json_and_csv_output(tmp_path):
     rows = res.csv_rows()
     assert len(rows) == 9  # 3 sides x 3 definitions
     assert {r["side"] for r in rows} == {"head", "tail", "both"}
-    cpath = tmp_path / "m.csv"
-    res.save_csv(cpath)
-    header = cpath.read_text().splitlines()[0]
-    assert header.startswith("split,filtered,side,rank_definition,mr,mrr,amr,count")
 
 
 def test_validation_callback_returns_selected_metric():

@@ -116,7 +116,7 @@ def test_search_space_validation():
 
 def test_search_space_dict_round_trip():
     s = tiny_space()
-    back = SearchSpace.from_dict(s.to_dict())
+    back = SearchSpace(**s.to_dict())
     assert back == s
     assert json.loads(json.dumps(s.to_dict())) == s.to_dict()
 
@@ -212,7 +212,7 @@ def test_budget_validation_and_round_trip():
     with pytest.raises(ValueError, match="trial_seconds"):
         Budget(trial_seconds=0)
     b = Budget(max_trials=5, max_seconds=60.0)
-    assert Budget.from_dict(b.to_dict()) == b
+    assert Budget(**b.to_dict()) == b
 
 
 def test_trial_record_round_trip():

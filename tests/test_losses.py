@@ -1,5 +1,7 @@
 """Training losses: hand values, closed-form identities, gradients, dispatch."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.special import log_softmax, softmax
@@ -39,7 +41,7 @@ def test_loss_spec_validation_and_round_trip():
     with pytest.raises(ValueError, match="temperature"):
         LossSpec(kind="nssal", adversarial_temperature=0.0)
     spec = LossSpec(kind="mrl", margin=2.5)
-    assert LossSpec.from_dict(spec.to_dict()) == spec
+    assert LossSpec(**asdict(spec)) == spec
 
 
 def test_kind_partitions():

@@ -1,5 +1,8 @@
 """Seed derivation, negative corruption, epoch batching, label smoothing."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from kgembed.sampling import (
     slcwa_batches,
     smooth_labels,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def toy_store():
@@ -100,7 +105,7 @@ def test_replacement_is_uniform_over_other_entities():
 def test_uniform_sampler_halves_sides():
     s = toy_store()
     sampler = NegativeSampler(s, kind="uniform")
-    assert sampler.head_probability(0) == 0.5
+    assert np.all(sampler.head_prob == 0.5)
     rng = np.random.default_rng(3)
     pos = np.tile(s.triples["train"][:1], (20000, 1))
     neg = sampler.corrupt(rng, pos, 1)
@@ -114,9 +119,9 @@ def test_bernoulli_probabilities_follow_relation_stats():
     r0 = s.relation_to_id["r0"]  # tph 3, hpt 1 -> corrupt head 3/4
     r1 = s.relation_to_id["r1"]  # tph 1, hpt 3 -> corrupt head 1/4
     r2 = s.relation_to_id["r2"]  # untrained -> 1/2
-    assert sampler.head_probability(r0) == pytest.approx(0.75)
-    assert sampler.head_probability(r1) == pytest.approx(0.25)
-    assert sampler.head_probability(r2) == pytest.approx(0.5)
+    assert sampler.head_prob[r0] == pytest.approx(0.75)
+    assert sampler.head_prob[r1] == pytest.approx(0.25)
+    assert sampler.head_prob[r2] == pytest.approx(0.5)
 
 
 def test_bernoulli_empirical_frequency_matches_probability():
@@ -164,9 +169,9 @@ def complete_store(n):
 
 
 def test_filtered_redraw_never_returns_the_positive():
-    # each (h, r) and (r, t) misses one entity, so the redraw cap is hit
-    # often; a redraw that could restore the positive's entity would then
-    # sometimes return the positive itself
+    # each (h, r) and (r, t) misses only the self-loop, so the one entity
+    # left to draw is h on the tail side and t on the head side; a draw
+    # that could restore the positive's entity would return the positive
     s = complete_store(8)
     fi = FilterIndex(s, splits=("train",))
     pos = s.triples["train"]
@@ -174,22 +179,79 @@ def test_filtered_redraw_never_returns_the_positive():
         sampler = NegativeSampler(s, kind="bernoulli", filtered=True, filter_index=fi)
         neg = sampler.corrupt(np.random.default_rng(seed), pos, 4)
         assert not np.any(np.all(neg == pos[:, None, :], axis=2))
-        assert sampler.residual_false_negatives > 0
+        assert not np.any(fi.contains(neg[..., 0], neg[..., 1], neg[..., 2]))
+        assert sampler.residual_false_negatives == 0
 
 
-def test_residual_false_negatives_count_what_the_cap_leaves():
-    # 19 of the 20 candidates of every redraw are known, so about a third of
-    # the negatives are still known after MAX_REDRAWS rounds
-    s = complete_store(21)
+def test_residual_false_negatives_count_saturated_queries():
+    # with self-loops every entity completes every (h, r) and (r, t), so no
+    # query has an unknown entity left: each negative keeps the unfiltered
+    # draw, is a known triple and is counted, and none is the positive
+    s = TripleStore.from_labeled_triples(
+        [(f"e{i}", "r", f"e{j}") for i in range(6) for j in range(6)])
     fi = FilterIndex(s, splits=("train",))
     sampler = NegativeSampler(s, kind="uniform", filtered=True, filter_index=fi)
     rng = np.random.default_rng(13)
-    returned = 0
-    for _ in range(3):
-        neg = sampler.corrupt(rng, s.triples["train"][:40], 4)
-        returned += int(np.sum(fi.contains(neg[..., 0], neg[..., 1], neg[..., 2])))
-    assert returned > 0
-    assert sampler.residual_false_negatives == returned
+    pos = s.triples["train"]
+    for calls in range(1, 4):
+        neg = sampler.corrupt(rng, pos, 4)
+        assert np.all(fi.contains(neg[..., 0], neg[..., 1], neg[..., 2]))
+        assert not np.any(np.all(neg == pos[:, None, :], axis=2))
+        assert sampler.residual_false_negatives == calls * neg.shape[0] * 4
+
+
+def test_filtered_sampling_never_returns_a_positive_missing_from_the_index():
+    s = toy_store()
+    fi = FilterIndex(s, splits=("train",))
+    ids = s.entity_to_id
+    a, r0, e = ids["a"], s.relation_to_id["r0"], ids["e"]
+    # (a, r0, e) is not known: its tails b, c, d are, so the only tail left
+    # is a itself; no head of (r0, e) is known, so any head but a will do
+    sampler = NegativeSampler(s, kind="uniform", filtered=True, filter_index=fi)
+    neg = sampler.corrupt(np.random.default_rng(14), np.tile([a, r0, e], (500, 1)), 4)
+    tail_side = neg[..., 2] != e
+    assert np.all(neg[tail_side][:, [0, 2]] == a)
+    assert set(neg[..., 0][~tail_side].tolist()) == set(range(s.num_entities)) - {a}
+    assert sampler.residual_false_negatives == 0
+    # without self-loops, (h, r) knows every tail but h: a positive (h, r, h)
+    # outside the index is saturated on both sides and never returned
+    s = complete_store(5)
+    fi = FilterIndex(s, splits=("train",))
+    sampler = NegativeSampler(s, kind="bernoulli", filtered=True, filter_index=fi)
+    pos = np.array([[h, 0, h] for h in range(5)])
+    neg = sampler.corrupt(np.random.default_rng(15), pos, 8)
+    assert not np.any(np.all(neg == pos[:, None, :], axis=2))
+    assert sampler.residual_false_negatives == neg.size // 3
+
+
+@pytest.mark.parametrize("name", ["nations", "kinships", "umls"])
+def test_filtered_bernoulli_sampling_returns_no_known_triple(name):
+    s = TripleStore.from_directory(DATA / name)
+    fi = FilterIndex(s, splits=("train",))
+    sampler = NegativeSampler(s, kind="bernoulli", filtered=True, filter_index=fi)
+    rng = np.random.default_rng(0)
+    train = s.triples["train"]
+    for _ in range(50):
+        pos = train[rng.integers(0, train.shape[0], 256)]
+        neg = sampler.corrupt(rng, pos, 2)
+        assert not np.any(fi.contains(neg[..., 0], neg[..., 1], neg[..., 2]))
+        assert np.all((neg[..., 0] != pos[:, None, 0]) != (neg[..., 2] != pos[:, None, 2]))
+    assert sampler.residual_false_negatives == 0
+
+
+def test_unfiltered_negatives_are_pinned():
+    # uniform and Bernoulli draws at a fixed seed, hashed: filtered sampling
+    # shares corrupt(), and a change to it must not move unfiltered draws
+    s = TripleStore.from_directory(DATA / "nations")
+    digest = hashlib.sha256()
+    for kind in ("uniform", "bernoulli"):
+        sampler = NegativeSampler(s, kind=kind)
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            neg = sampler.corrupt(rng, s.triples["train"][:256], 2)
+            digest.update(np.ascontiguousarray(neg, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == (
+        "c2466857d56a6ba8526b1123d33dd3776435c864afe5e261ba8d617a8fa33f9a")
 
 
 def test_unfiltered_sampling_does_produce_false_negatives():
