@@ -189,13 +189,14 @@ def relation_stats(store, index=None):
     fall back to tph = hpt = 1, which makes the Bernoulli corruption
     probability an even split. A given training-split `index` is reused.
     """
-    R, E = store.num_relations, store.num_entities
+    R = store.num_relations
     if index is None:
         index = FilterIndex(store, splits=("train",))
-    # tail keys // E are the (h, r) prefixes h·R + r; head keys // E are r·E + t
-    triples = np.bincount(index.tail_keys // E % R, minlength=R)
-    heads = np.bincount(np.unique(index.tail_keys // E) % R, minlength=R)
-    tails = np.bincount(np.unique(index.head_keys // E) // E, minlength=R)
+    (_, hr_relations), tails_per_hr = index.groups("tail")
+    (rt_relations, _), _ = index.groups("head")
+    triples = np.bincount(hr_relations, weights=tails_per_hr, minlength=R)
+    heads = np.bincount(hr_relations, minlength=R)
+    tails = np.bincount(rt_relations, minlength=R)
     tph = np.divide(triples, heads, out=np.ones(R), where=triples > 0)
     hpt = np.divide(triples, tails, out=np.ones(R), where=triples > 0)
     return tph, hpt
@@ -229,14 +230,23 @@ class FilterIndex:
         lo = np.searchsorted(keys, start)
         return keys, start, lo, np.searchsorted(keys, start + E) - lo
 
-    def _pairs(self, side, a, b):
+    def completions(self, side, a, b):
         """(rows, entities) of every known completion of the query batch
-        (a[i], b[i])."""
+        (a[i], b[i]): (h, r) queries for side "tail", (r, t) for "head"."""
         keys, start, lo, counts = self._range(side, a, b)
         rows = np.repeat(np.arange(start.size), counts)
         # a row's entries sit at lo, lo + 1, ... of its range
         pos = np.arange(rows.size) + (lo - np.cumsum(counts) + counts)[rows]
         return rows, keys[pos] - start[rows]
+
+    def groups(self, side):
+        """The distinct queries with a known completion, in sorted order, and
+        the number of completions of each: ((h, r), counts) for side "tail",
+        ((r, t), counts) for side "head"."""
+        keys = self.tail_keys if side == "tail" else self.head_keys
+        width = self.num_relations if side == "tail" else self.num_entities
+        prefixes, counts = np.unique(keys // self.num_entities, return_counts=True)
+        return (prefixes // width, prefixes % width), counts
 
     def draw_unknown(self, side, a, b, exclude, rng):
         """One entity per query (a[i], b[i]), uniform over the entities that
@@ -254,8 +264,11 @@ class FilterIndex:
             self._adj[side] = keys - np.arange(keys.size)
         exclude = np.asarray(exclude, dtype=np.int64).reshape(-1)
         key = start + exclude
-        below = np.searchsorted(keys, key) - lo  # known completions below exclude
-        unknown = np.searchsorted(keys, key, "right") - lo == below
+        pos = np.searchsorted(keys, key)
+        below = pos - lo  # known completions below exclude
+        # exclude is known exactly when it is the key at its insertion point
+        unknown = (keys.take(pos, mode="clip") != key if keys.size
+                   else np.ones(key.shape, dtype=bool))
         free = E - count - unknown
         saturated = free == 0
         u = rng.integers(0, np.where(saturated, E - 1, free))
@@ -267,11 +280,11 @@ class FilterIndex:
 
     def tails(self, h, r):
         """All known true tails t such that (h, r, t) is a stored triple."""
-        return self._pairs("tail", h, r)[1]
+        return self.completions("tail", h, r)[1]
 
     def heads(self, r, t):
         """All known true heads h such that (h, r, t) is a stored triple."""
-        return self._pairs("head", r, t)[1]
+        return self.completions("head", r, t)[1]
 
     def contains(self, h, r, t):
         """Whether (h, r, t) is a stored triple; broadcasts over arrays."""

@@ -32,6 +32,8 @@ from .datasets import FilterIndex, SPLITS
 HITS_LEVELS = (1, 3, 5, 10)
 RANK_DEFINITIONS = ("optimistic", "pessimistic", "realistic")
 SIDES = ("head", "tail")
+# the metrics early stopping can maximize; the first is the default metric
+STOPPER_METRICS = ("hits_at_10", "mrr")
 
 
 def rank_from_scores(true_score, candidate_scores):
@@ -120,7 +122,7 @@ class RankingResult:
             }
         return out
 
-    def get(self, metric="hits_at_10", side="both", definition="realistic"):
+    def get(self, metric=STOPPER_METRICS[0], side="both", definition="realistic"):
         return self.metrics()[side][definition][metric]
 
     # ----- output -----------------------------------------------------------
@@ -201,7 +203,7 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
             mask = np.ones(S.shape, dtype=bool)
             if filtered:
                 query = chunk[:, :2] if side == "tail" else chunk[:, 1:]  # (h, r) or (r, t)
-                mask[fi._pairs(side, *query.T)] = False
+                mask[fi.completions(side, *query.T)] = False
             mask[np.arange(chunk.shape[0]), targets] = False
             true_scores = S[np.arange(chunk.shape[0]), targets]
             gt = (S > true_scores[:, None]) & mask
@@ -222,10 +224,10 @@ def rank_test_split(model, params, store, filter_index=None):
             for name, flag in (("filtered", True), ("unfiltered", False))}
 
 
-def make_validation_callback(model, store, *, split="valid", metric="hits_at_10",
-                             side="both", definition="realistic", filtered=True,
-                             use_inverse=None, batch_size=64, filter_index_fn=None):
-    """A params -> float scorer for early stopping.
+def make_validation_callback(model, store, *, metric=STOPPER_METRICS[0],
+                             filter_index_fn=None):
+    """A params -> float scorer for early stopping: the metric over both
+    sides of the filtered validation split, under realistic ranks.
 
     filter_index_fn() returns the FilterIndex to filter with; it is first
     called by the first evaluation, so a run that shares one index between
@@ -237,11 +239,7 @@ def make_validation_callback(model, store, *, split="valid", metric="hits_at_10"
         filter_index_fn = functools.cache(lambda: FilterIndex(store))
 
     def callback(params):
-        result = compute_ranks(
-            model, params, store, split=split, filtered=filtered,
-            use_inverse=use_inverse, batch_size=batch_size,
-            filter_index=filter_index_fn() if filtered else None,
-        )
-        return result.get(metric=metric, side=side, definition=definition)
+        return compute_ranks(model, params, store, split="valid",
+                             filter_index=filter_index_fn()).get(metric)
 
     return callback

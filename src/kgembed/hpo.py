@@ -1,10 +1,13 @@
 """Random-search hyper-parameter optimization.
 
-A study draws full training configurations from a SearchSpace. A trial is a
-run: trial_document turns its configuration into a run document (model,
-training, early stopping, inverse relations and seed), and
-pipeline.train_run trains it exactly as `kgembed train` trains a run, with
-early stopping on the validation split. The study keeps the configuration
+A study draws full training configurations from a SearchSpace, which runs
+every value a trial can draw through the check of the run setting it
+becomes, so every trial of an accepted space builds. A trial is a run:
+trial_document turns its configuration into a run document (what the trial
+drew, the study's early stopping, inverse relations and seed), and
+pipeline.train_run trains it exactly as `kgembed train` trains a run, filling
+the settings the trial did not draw with their defaults, with early
+stopping on the validation split. The study keeps the configuration
 with the best validation metric. The final step obtains its parameters
 (reusing the winning trial's when they are still in memory, retraining
 otherwise, which is the same deterministic computation) and reports its
@@ -29,12 +32,14 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .datasets import add_inverse_relations
-from .evaluation import rank_test_split
-from .losses import SLCWA_KINDS, LCWA_KINDS
-from .models import KINDS, MAX_WIDTH
+from .evaluation import STOPPER_METRICS, rank_test_split
+from .losses import LOSS_CHECKS
+from .models import InteractionSpec
 from .pipeline import build_model, train_run
-from .sampling import SAMPLERS, derive_seed, rng_for
-from .training import APPROACHES, OPTIMIZERS
+from .sampling import derive_seed, rng_for
+from .settings import require
+from .training import (APPROACHES, OPTIMIZER_CHECKS, OPTIMIZERS, TRAINING_CHECKS,
+                       TrainingConfig, loss_problem)
 
 log = logging.getLogger(__name__)
 
@@ -47,15 +52,34 @@ class StudyError(RuntimeError):
     """The study as a whole cannot produce a result."""
 
 
+# the check of the run setting each space field's values become
+_DRAWN_SETTINGS = {
+    "approaches": TRAINING_CHECKS["approach"],
+    "optimizers": OPTIMIZER_CHECKS["kind"],
+    "learning_rate_range": OPTIMIZER_CHECKS["lr"],
+    "batch_sizes": TRAINING_CHECKS["batch_size"],
+    "num_epochs": TRAINING_CHECKS["num_epochs"],
+    "slcwa_losses": lambda v: LOSS_CHECKS["kind"](v) or loss_problem("slcwa", v),
+    "lcwa_losses": lambda v: LOSS_CHECKS["kind"](v) or loss_problem("lcwa", v),
+    "adversarial_temperatures": LOSS_CHECKS["adversarial_temperature"],
+    "negatives_range": TRAINING_CHECKS["num_negatives"],
+    "label_smoothing_range": TRAINING_CHECKS["label_smoothing"],
+    "samplers": TRAINING_CHECKS["sampler"],
+}
+
+
 @dataclass
 class SearchSpace:
     """What random search may draw from.
 
     Categorical fields are drawn uniformly; learning rate and label
     smoothing are drawn uniformly in log space over [lo, hi). The loss pool
-    depends on the drawn training approach, so every sample satisfies the
-    approach/loss compatibility matrix by construction. num_epochs is a cap,
-    not a draw; early stopping usually ends a trial well before it.
+    depends on the drawn training approach. num_epochs is a cap, not a draw;
+    early stopping usually ends a trial well before it.
+
+    Every value a trial can draw passes the check of the run setting it
+    becomes, and every (model, embedding dim) pair builds an
+    InteractionSpec, so every trial of a valid space can be built.
     """
 
     models: tuple = ("distmult",)
@@ -65,7 +89,7 @@ class SearchSpace:
     learning_rate_range: tuple = (0.001, 0.1)
     batch_sizes: tuple = (128, 256, 512)
     inverse_choices: tuple = (False, True)
-    num_epochs: int = 1000
+    num_epochs: int = TrainingConfig.num_epochs
     slcwa_losses: tuple = ("bcel", "mrl", "nssal", "spl")
     lcwa_losses: tuple = ("bcel", "cel", "spl")
     mrl_margins: tuple = MRL_MARGINS
@@ -73,7 +97,7 @@ class SearchSpace:
     adversarial_temperatures: tuple = ADVERSARIAL_TEMPERATURES
     negatives_range: tuple = (1, 100)            # inclusive on both ends
     label_smoothing_range: tuple = (0.001, 1.0)
-    samplers: tuple = ("uniform",)
+    samplers: tuple = (TrainingConfig.sampler,)
 
     def __post_init__(self):
         for name in ("models", "approaches", "embedding_dims", "optimizers",
@@ -90,32 +114,28 @@ class SearchSpace:
                 raise ValueError(f"{name} needs two values, [lo, hi]")
             cast = int if name == "negatives_range" else float
             setattr(self, name, tuple(cast(v) for v in value))
-        unknown = set(self.models) - set(KINDS)
-        if unknown:
-            raise ValueError(f"unknown interaction kinds {sorted(unknown)}")
-        for name, allowed in (("approaches", APPROACHES), ("optimizers", OPTIMIZERS),
-                              ("samplers", SAMPLERS)):
-            if set(getattr(self, name)) - set(allowed):
-                choices = ", ".join(map(repr, allowed))
-                raise ValueError(f"{name} must be a subset of {{{choices}}}")
-        if set(self.slcwa_losses) - set(SLCWA_KINDS):
-            raise ValueError("slcwa_losses contains a loss the approach cannot train")
-        if set(self.lcwa_losses) - set(LCWA_KINDS):
-            raise ValueError("lcwa_losses contains a loss the approach cannot train")
         for name in ("learning_rate_range", "label_smoothing_range"):
             lo, hi = getattr(self, name)  # drawn in log space
             if not (0 < lo < hi < np.inf):
                 raise ValueError(f"{name} needs 0 < lo < hi, finite")
-        if self.label_smoothing_range[1] > 1:
-            raise ValueError("label_smoothing_range needs hi <= 1")
-        lo, hi = self.negatives_range
-        if not (1 <= lo <= hi <= MAX_WIDTH):
-            raise ValueError(f"negatives_range needs 1 <= lo <= hi <= {MAX_WIDTH}")
-        for name in ("embedding_dims", "batch_sizes", "adversarial_temperatures"):
-            if not all(v > 0 for v in getattr(self, name)):
-                raise ValueError(f"{name} must all be positive")
-        if not isinstance(self.num_epochs, int) or self.num_epochs < 1:
+        if self.negatives_range[0] > self.negatives_range[1]:
+            raise ValueError("negatives_range needs lo <= hi")
+        if not isinstance(self.num_epochs, int):
             raise ValueError("num_epochs must be a positive integer")
+        for kind in self.models:
+            for dim in self.embedding_dims:
+                try:
+                    InteractionSpec(kind, 1, 1, d_e=dim)
+                except ValueError as e:
+                    raise ValueError(f"models value {kind!r} with embedding_dims "
+                                     f"value {dim!r}: {e}") from None
+        for name, check in _DRAWN_SETTINGS.items():
+            values = getattr(self, name)
+            if name in ("learning_rate_range", "label_smoothing_range"):
+                # drawn in [lo, hi): its lowest and its highest float
+                values = (values[0], float(np.nextafter(values[1], values[0])))
+            for value in values if isinstance(values, tuple) else (values,):
+                require(f"{name} value {value!r}", check(value))
 
     def to_dict(self):
         return {k: (list(v) if isinstance(v, tuple) else v)
@@ -213,44 +233,43 @@ class TrialRecord:
         return cls(**doc)
 
 
-def trial_document(cfg, *, seed, metric="hits_at_10", eval_frequency=50,
-                   patience=100):
-    """The normalized run document, less dataset and output_dir, that trains
-    a sampled configuration.
+def trial_document(cfg, *, seed, metric=STOPPER_METRICS[0],
+                   eval_frequency=TrainingConfig.eval_frequency,
+                   patience=TrainingConfig.patience):
+    """The run document, less dataset and output_dir, that trains a sampled
+    configuration: what the trial drew, its early stopping and its seed.
 
-    The evaluation frequency is clamped to the epoch cap so even very short
-    trials get at least one validation measurement, and the patience is
-    lifted to at least that frequency.
+    Settings the trial did not draw are left out: the run path
+    (pipeline.build_training_config) gives them their defaults and clamps
+    the evaluation frequency to the epoch cap, so even very short trials get
+    a validation measurement.
     """
-    frequency = min(eval_frequency, cfg["num_epochs"])
+    def drawn(*keys):  # the approach-specific fields the trial drew
+        return {k: cfg[k] for k in keys if cfg[k] is not None}
+
     return {
         "model": {"kind": cfg["model"], "d_e": cfg["embedding_dim"]},
         "training": {
             "approach": cfg["approach"],
-            "loss": {
-                "kind": cfg["loss"],
-                "margin": 1.0 if cfg["margin"] is None else cfg["margin"],
-                "adversarial_temperature": (1.0 if cfg["adversarial_temperature"] is None
-                                            else cfg["adversarial_temperature"]),
-            },
+            "loss": {"kind": cfg["loss"], **drawn("margin", "adversarial_temperature")},
             "optimizer": {"kind": cfg["optimizer"],
                           "learning_rate": cfg["learning_rate"]},
             "batch_size": cfg["batch_size"],
             "num_epochs": cfg["num_epochs"],
-            "num_negatives": cfg["num_negatives"] or 32,
             "sampler": cfg["sampler"],
-            "filtered_sampling": False,
             "label_smoothing": cfg["label_smoothing"],
+            **drawn("num_negatives"),
         },
-        "early_stopping": {"enabled": True, "frequency": frequency,
-                           "patience": max(patience, frequency), "metric": metric},
+        "early_stopping": {"enabled": True, "frequency": eval_frequency,
+                           "patience": patience, "metric": metric},
         "inverse_relations": cfg["inverse"],
         "seed": seed,
     }
 
 
-def run_trial(trial_id, cfg, stores, *, seed, metric="hits_at_10",
-              eval_frequency=50, patience=100, deadline=None):
+def run_trial(trial_id, cfg, stores, *, seed, metric=STOPPER_METRICS[0],
+              eval_frequency=TrainingConfig.eval_frequency,
+              patience=TrainingConfig.patience, deadline=None):
     """Train one configuration as a run; returns (TrialRecord, trained params
     or None). stores maps inverse_relations to the store a run trains on.
 
@@ -318,8 +337,9 @@ def _check_manifest(path, manifest):
 
 
 def random_search(space, store, *, budget=None, master_seed=0,
-                  metric="hits_at_10", eval_frequency=50, patience=100,
-                  records_path=None, manifest_path=None, workers=1):
+                  metric=STOPPER_METRICS[0], eval_frequency=TrainingConfig.eval_frequency,
+                  patience=TrainingConfig.patience, records_path=None,
+                  manifest_path=None, workers=1):
     """Run a study and return its StudyResult.
 
     store must be the un-augmented TripleStore; trials that model inverse

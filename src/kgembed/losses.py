@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .settings import check_fields, positive
+
 POINTWISE_KINDS = ("square_error", "bcel", "spl", "pointwise_hinge")
 PAIRWISE_KINDS = ("mrl", "pairwise_logistic")
 KINDS = POINTWISE_KINDS + PAIRWISE_KINDS + ("nssal", "cel")
@@ -24,6 +26,12 @@ KINDS = POINTWISE_KINDS + PAIRWISE_KINDS + ("nssal", "cel")
 # which losses make sense under which training approach
 SLCWA_KINDS = POINTWISE_KINDS + PAIRWISE_KINDS + ("nssal",)
 LCWA_KINDS = POINTWISE_KINDS + ("cel",)
+
+# the value check of each LossSpec field that has one (see settings)
+LOSS_CHECKS = {
+    "kind": lambda v: None if v in KINDS else f"unknown loss kind {v!r}",
+    "adversarial_temperature": positive,
+}
 
 
 @dataclass
@@ -40,10 +48,7 @@ class LossSpec:
     adversarial_temperature: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.adversarial_temperature <= 0:
-            raise ValueError("adversarial_temperature must be positive")
+        check_fields(self, LOSS_CHECKS)
 
 
 def _sign_labels(labels):

@@ -3,10 +3,14 @@
 A run is described by one JSON document. normalize_config fills defaults and
 collects every problem it can find (field paths included) before raising, so
 a bad config is diagnosed in one pass; normalize_study does the same for a
-study document. execute_run then loads the data, trains with early stopping
-through train_run (the in-memory run function that also trains every HPO
-trial), evaluates the test split filtered and unfiltered under all three
-rank definitions, and writes four artifacts into the output directory:
+study document. A training, loss, optimizer or early-stopping setting takes
+its default from the dataclass that uses it (TrainingConfig, LossSpec,
+OptimizerSpec) and its value check from the table next to that dataclass,
+so the document and the dataclass accept exactly the same values.
+execute_run then loads the data, trains with early stopping through
+train_run (the in-memory run function that also trains every HPO trial),
+evaluates the test split filtered and unfiltered under all three rank
+definitions, and writes four artifacts into the output directory:
 
     config.json       byte-for-byte copy of the validated input document
     trace.jsonl       one record per training epoch
@@ -31,13 +35,15 @@ import numpy as np
 
 from .autodiff import keep_heap
 from .datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
-from .evaluation import make_validation_callback, rank_test_split
-from .losses import LossSpec, SLCWA_KINDS, LCWA_KINDS, KINDS as LOSS_KINDS
-from .models import (KINDS as MODEL_KINDS, MAX_WIDTH, InteractionSpec,
-                     build_interaction, init_parameters, save_checkpoint)
-from .sampling import SAMPLERS, derive_seed
-from .training import (APPROACHES, OPTIMIZERS, STOPPER_METRICS, OptimizerSpec,
-                       TrainingConfig, train, utc_timestamp)
+from .evaluation import STOPPER_METRICS, make_validation_callback, rank_test_split
+from .losses import LOSS_CHECKS, LossSpec
+from .models import (KINDS as MODEL_KINDS, InteractionSpec, build_interaction,
+                     init_parameters, save_checkpoint)
+from .sampling import derive_seed
+from .settings import at_least, one_of
+from .training import (OPTIMIZER_CHECKS, TRAINING_CHECKS, OptimizerSpec,
+                       TrainingConfig, loss_problem, patience_problem, train,
+                       utc_timestamp)
 
 log = logging.getLogger(__name__)
 
@@ -60,52 +66,41 @@ class DataError(ValueError):
     """Dataset files missing or malformed."""
 
 
-def _at_least(lo):
-    return lambda v: None if v >= lo else f"must be >= {lo}"
-
-
-def _one_of(*choices):
-    return lambda v: None if v in choices else \
-        "must be " + " or ".join(repr(c) for c in choices)
-
-
-def _above_zero(v):
-    return None if v > 0 else "must be positive"
-
-
 # model fields a config may set, with their JSON types; vocabulary sizes
 # always come from the data
 _MODEL_FIELDS = {"d_e": int, "d_r": int, "k": int, "tau": int, "kernel": [int],
                  "p": int, "similarity": str, "c_min": (int, float),
                  "c_max": (int, float), "conv_height": int}
 
+
+def _fields(cls, checks, *names, **renamed):
+    """{document key: (default, check)} of dataclass fields: each of names
+    under its own name, each renamed key for the field it names."""
+    keys = dict(zip(names, names), **renamed)
+    return {key: (getattr(cls, name), checks.get(name)) for key, name in keys.items()}
+
+
 # optional fields of each section: default and value check; a field takes
 # the JSON type of its default
-_LOSS_FIELDS = {"margin": (1.0, None), "adversarial_temperature": (1.0, _above_zero)}
-_OPTIMIZER_FIELDS = {"kind": ("adam", _one_of(*OPTIMIZERS)),
-                     "learning_rate": (0.01, _above_zero)}
-_TRAINING_FIELDS = {
-    "batch_size": (256, _at_least(1)),
-    "num_epochs": (1000, _at_least(1)),
-    "num_negatives": (32, lambda v: None if 1 <= v <= MAX_WIDTH
-                      else f"must lie in [1, {MAX_WIDTH}]"),
-    "sampler": ("uniform", _one_of(*SAMPLERS)),
-    "filtered_sampling": (False, None),
-    "label_smoothing": (0.0, lambda v: None if 0 <= v < 1 else "must lie in [0, 1)"),
-}
+_LOSS_FIELDS = _fields(LossSpec, LOSS_CHECKS, "margin", "adversarial_temperature")
+_OPTIMIZER_FIELDS = _fields(OptimizerSpec, OPTIMIZER_CHECKS, "kind", learning_rate="lr")
+_TRAINING_FIELDS = _fields(TrainingConfig, TRAINING_CHECKS, "batch_size", "num_epochs",
+                           "num_negatives", "sampler", "filtered_sampling",
+                           "label_smoothing")
 _STOPPING_FIELDS = {
     "enabled": (True, None),
-    "frequency": (50, _at_least(1)),
-    "patience": (100, _at_least(1)),
-    "metric": ("hits_at_10", _one_of(*STOPPER_METRICS)),
+    **_fields(TrainingConfig, TRAINING_CHECKS, frequency="eval_frequency",
+              patience="patience"),
+    "metric": (STOPPER_METRICS[0], one_of(*STOPPER_METRICS)),
 }
-_RUN_FIELDS = {"inverse_relations": (False, None), "seed": (0, _at_least(0))}
+_RUN_FIELDS = {"inverse_relations": (False, None),
+               **_fields(TrainingConfig, TRAINING_CHECKS, "seed")}
 _STUDY_FIELDS = {
-    "seed": (0, _at_least(0)),
+    "seed": _RUN_FIELDS["seed"],
     "metric": _STOPPING_FIELDS["metric"],
     "eval_frequency": _STOPPING_FIELDS["frequency"],
     "patience": _STOPPING_FIELDS["patience"],
-    "workers": (1, _at_least(1)),
+    "workers": (1, at_least(1)),
 }
 # JSON types of the study's budget fields; null keeps a limit unset
 _BUDGET_FIELDS = {"max_trials": int, "max_seconds": (int, float, type(None)),
@@ -221,11 +216,10 @@ def normalize_config(doc):
 
     training = _section(doc, "training", problems)
     t = {"approach": _take(training, "training", "approach", str, ..., problems,
-                           check=_one_of(*APPROACHES))}
+                           check=TRAINING_CHECKS["approach"])}
     loss = _section(training, "training.loss", problems)
     t["loss"] = {"kind": _take(loss, "training.loss", "kind", str, ..., problems,
-                               check=lambda v: None if v in LOSS_KINDS
-                               else f"unknown loss kind {v!r}"),
+                               check=LOSS_CHECKS["kind"]),
                  **_optional(loss, "training.loss", _LOSS_FIELDS, problems)}
     _leftovers(loss, "training.loss", problems)
     optimizer = _section(training, "training.optimizer", problems, required=False)
@@ -234,23 +228,18 @@ def normalize_config(doc):
     _leftovers(optimizer, "training.optimizer", problems)
     t.update(_optional(training, "training", _TRAINING_FIELDS, problems))
     _leftovers(training, "training", problems)
-    if t["approach"] == "lcwa" and t["loss"]["kind"] in SLCWA_KINDS and \
-            t["loss"]["kind"] not in LCWA_KINDS:
-        problems.append(
-            f"training.loss.kind: {t['loss']['kind']!r} needs sampled negative "
-            "pairs and cannot be trained with the lcwa approach")
-    elif t["approach"] == "slcwa" and t["loss"]["kind"] == "cel":
-        problems.append(
-            "training.loss.kind: 'cel' normalizes over all entities and "
-            "requires the lcwa approach")
+    incompatible = loss_problem(t["approach"], t["loss"]["kind"])
+    if incompatible:
+        problems.append(f"training.loss.kind: {incompatible}")
     out["training"] = t
 
     stopping = _section(doc, "early_stopping", problems, required=False)
     s = out["early_stopping"] = _optional(stopping, "early_stopping",
                                           _STOPPING_FIELDS, problems)
     _leftovers(stopping, "early_stopping", problems)
-    if s["patience"] < s["frequency"]:
-        problems.append("early_stopping.patience: must be >= frequency")
+    never_fires = patience_problem(s["frequency"], s["patience"])
+    if never_fires:
+        problems.append(f"early_stopping.patience: {never_fires}")
 
     out.update(_optional(doc, "config", _RUN_FIELDS, problems))
     out["output_dir"] = _take(doc, "config", "output_dir", str, ..., problems,
@@ -343,8 +332,6 @@ def vocab_sha256(store):
 def build_model(cfg, store):
     """InteractionSpec + Interaction for a normalized config and its data."""
     fields = {k: v for k, v in cfg["model"].items() if k != "kind"}
-    if "kernel" in fields:
-        fields["kernel"] = tuple(fields["kernel"])
     try:
         spec = InteractionSpec(kind=cfg["model"]["kind"],
                                num_entities=store.num_entities,
@@ -355,28 +342,23 @@ def build_model(cfg, store):
 
 
 def build_training_config(cfg):
-    t = cfg["training"]
+    """The TrainingConfig of a run document, whose training keys are
+    TrainingConfig's field names.
+
+    A training, loss or optimizer setting the document leaves out, as a
+    trial's document does, takes its dataclass default. The evaluation
+    frequency is clamped to the epoch cap, so that a short run still
+    validates, and the patience is lifted to at least that frequency.
+    """
+    t = dict(cfg["training"])
+    loss, optimizer = t.pop("loss"), t.pop("optimizer")
     s = cfg["early_stopping"]
     frequency = min(s["frequency"], t["num_epochs"])
-    try:
-        return TrainingConfig(
-            approach=t["approach"],
-            loss=LossSpec(t["loss"]["kind"], margin=t["loss"]["margin"],
-                          adversarial_temperature=t["loss"]["adversarial_temperature"]),
-            optimizer=OptimizerSpec(kind=t["optimizer"]["kind"],
-                                    lr=t["optimizer"]["learning_rate"]),
-            batch_size=t["batch_size"],
-            num_epochs=t["num_epochs"],
-            num_negatives=t["num_negatives"],
-            sampler=t["sampler"],
-            filtered_sampling=t["filtered_sampling"],
-            label_smoothing=t["label_smoothing"],
-            seed=cfg["seed"],
-            eval_frequency=frequency,
-            patience=max(s["patience"], frequency),
-        )
-    except ValueError as e:
-        raise ConfigError([f"training: {e}"])
+    return TrainingConfig(
+        loss=LossSpec(**loss),
+        optimizer=OptimizerSpec(kind=optimizer["kind"], lr=optimizer["learning_rate"]),
+        seed=cfg["seed"], eval_frequency=frequency,
+        patience=max(s["patience"], frequency), **t)
 
 
 # variables that set how many threads numpy's BLAS uses
@@ -394,7 +376,8 @@ def _dataset_stats(store):
 
 
 def train_run(cfg, store, *, trace_path=None, deadline=None):
-    """Train one normalized run document on its data, in memory.
+    """Train one run document on its data, in memory: a normalized one, or
+    a trial's, which leaves out the training settings it did not draw.
 
     store must carry inverse relations exactly when cfg asks for them. Builds
     the model, initializes its parameters, trains with the document's early
@@ -411,7 +394,7 @@ def train_run(cfg, store, *, trace_path=None, deadline=None):
     callback = None
     if cfg["early_stopping"]["enabled"]:
         callback = make_validation_callback(
-            model, store, split="valid", metric=cfg["early_stopping"]["metric"],
+            model, store, metric=cfg["early_stopping"]["metric"],
             filter_index_fn=filter_index_fn)
     result = train(model, params, store, tconf, evaluate_fn=callback,
                    trace_path=trace_path, deadline=deadline)

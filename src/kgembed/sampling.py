@@ -105,7 +105,7 @@ def slcwa_batches(store, batch_size, rng):
 
 
 class LCWATask:
-    """Training-split (h, r) groups with their sets of true tails.
+    """Training-split (h, r) groups and the label rows of their true tails.
 
     Under 1-N scoring every distinct (head, relation) pair is one example
     whose label vector marks all tails observed in the training split.
@@ -113,11 +113,8 @@ class LCWATask:
 
     def __init__(self, store):
         self._index = FilterIndex(store, splits=("train",))
-        E, R = store.num_entities, store.num_relations
-        prefixes, starts = np.unique(self._index.tail_keys // E, return_index=True)
-        self.pairs = np.stack([prefixes // R, prefixes % R], axis=1).astype(np.intp)
-        self.tails = np.split(self._index.tail_keys % E, starts[1:])
-        self.num_entities = E
+        self.pairs = np.stack(self._index.groups("tail")[0], axis=1).astype(np.intp)
+        self.num_entities = store.num_entities
 
     def __len__(self):
         return self.pairs.shape[0]
@@ -134,7 +131,7 @@ class LCWATask:
         pairs = self.pairs[np.asarray(indices, dtype=np.intp)]
         labels = np.full((pairs.shape[0], self.num_entities),
                          epsilon / (self.num_entities - 1) if epsilon > 0.0 else 0.0)
-        labels[self._index._pairs("tail", pairs[:, 0], pairs[:, 1])] = 1.0 - epsilon
+        labels[self._index.completions("tail", pairs[:, 0], pairs[:, 1])] = 1.0 - epsilon
         return labels
 
 

@@ -20,13 +20,14 @@ from .autodiff import Graph, keep_heap
 from .datasets import FilterIndex
 from .losses import LossSpec, slcwa_loss, lcwa_loss, SLCWA_KINDS, LCWA_KINDS
 from .models import MAX_WIDTH
-from .sampling import NegativeSampler, LCWATask, slcwa_batches, lcwa_batches, rng_for
+from .sampling import (SAMPLERS, NegativeSampler, LCWATask, slcwa_batches,
+                       lcwa_batches, rng_for)
+from .settings import at_least, check_fields, one_of, positive, require
 
 log = logging.getLogger(__name__)
 
 APPROACHES = ("slcwa", "lcwa")
 OPTIMIZERS = ("adam", "adadelta")
-STOPPER_METRICS = ("hits_at_10", "mrr")
 
 
 def utc_timestamp():
@@ -36,6 +37,10 @@ def utc_timestamp():
 
 class DivergenceError(RuntimeError):
     """Training produced non-finite losses or lost every step of an epoch."""
+
+
+# the value check of each OptimizerSpec field that has one (see settings)
+OPTIMIZER_CHECKS = {"kind": one_of(*OPTIMIZERS), "lr": positive}
 
 
 @dataclass
@@ -48,10 +53,7 @@ class OptimizerSpec:
     eps: float = None  # resolved per kind below
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        check_fields(self, OPTIMIZER_CHECKS)
         if self.eps is None:
             self.eps = 1e-8 if self.kind == "adam" else 1e-6
 
@@ -144,6 +146,36 @@ def make_optimizer(spec, params):
     return cls(spec, params)
 
 
+# the value check of each TrainingConfig field that has one (see settings)
+TRAINING_CHECKS = {
+    "approach": one_of(*APPROACHES),
+    "batch_size": at_least(1),
+    "num_epochs": at_least(1),
+    "num_negatives": lambda v: None if 1 <= v <= MAX_WIDTH
+                     else f"must lie in [1, {MAX_WIDTH}]",
+    "sampler": one_of(*SAMPLERS),
+    "label_smoothing": lambda v: None if 0 <= v < 1 else "must lie in [0, 1)",
+    "seed": at_least(0),
+    "eval_frequency": at_least(1),
+    "patience": at_least(1),
+}
+
+
+def loss_problem(approach, kind):
+    """Why a loss kind cannot be trained under an approach; None when it can."""
+    if approach == "lcwa" and kind in SLCWA_KINDS and kind not in LCWA_KINDS:
+        return (f"{kind!r} needs sampled negative pairs and cannot be trained "
+                "with the lcwa approach")
+    if approach == "slcwa" and kind == "cel":
+        return "'cel' normalizes over all entities and requires the lcwa approach"
+    return None
+
+
+def patience_problem(frequency, patience):
+    """Why a patience never fires at an evaluation frequency; None when it can."""
+    return None if patience >= frequency else "must be >= frequency"
+
+
 @dataclass
 class TrainingConfig:
     """Everything train() needs beyond model and store."""
@@ -154,7 +186,7 @@ class TrainingConfig:
     batch_size: int = 256
     num_epochs: int = 1000
     num_negatives: int = 32          # negatives per positive (slcwa)
-    sampler: str = "uniform"         # one of sampling.SAMPLERS
+    sampler: str = "uniform"
     filtered_sampling: bool = False
     label_smoothing: float = 0.0     # lcwa only
     seed: int = 0
@@ -162,19 +194,9 @@ class TrainingConfig:
     patience: int = 100              # epochs without improvement before stopping
 
     def __post_init__(self):
-        if self.approach not in APPROACHES:
-            raise ValueError(f"unknown training approach {self.approach!r}")
-        allowed = SLCWA_KINDS if self.approach == "slcwa" else LCWA_KINDS
-        if self.loss.kind not in allowed:
-            raise ValueError(
-                f"loss {self.loss.kind!r} cannot be trained under {self.approach}"
-            )
-        if self.approach == "slcwa" and not 1 <= self.num_negatives <= MAX_WIDTH:
-            raise ValueError(f"num_negatives must lie in [1, {MAX_WIDTH}]")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
-        if self.patience < self.eval_frequency:
-            raise ValueError("patience shorter than the evaluation frequency never fires")
+        check_fields(self, TRAINING_CHECKS)
+        require("loss", loss_problem(self.approach, self.loss.kind))
+        require("patience", patience_problem(self.eval_frequency, self.patience))
 
 
 def _clamped(g, model, scores):
@@ -250,9 +272,8 @@ class EarlyStopper:
     parameters checkpointed at the best evaluation.
     """
 
-    def __init__(self, frequency=50, patience=100):
-        if patience < frequency:
-            raise ValueError("patience shorter than the evaluation frequency never fires")
+    def __init__(self, frequency, patience):
+        require("patience", patience_problem(frequency, patience))
         self.frequency = frequency
         self.patience = patience
         self.best_metric = -np.inf

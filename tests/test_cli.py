@@ -479,9 +479,16 @@ def test_hpo_bad_threads_env_exits_2(workspace, tmp_path, capsys, monkeypatch, v
     (lambda d: d["space"].update(wishful=[1]), "study.space.wishful: unknown field"),
     (lambda d: d["budget"].update(max_hours=1), "study.budget.max_hours: unknown field"),
     (lambda d: d["space"].update(embedding_dims=[0]),
-     "study.space: embedding_dims must all be positive"),
+     "study.space: models value 'distmult' with embedding_dims value 0: "
+     "d_e must lie in [1, 2147483647]"),
+    (lambda d: d["space"].update(embedding_dims=[4294967296]),
+     "study.space: models value 'distmult' with embedding_dims value 4294967296: "
+     "d_e must lie in [1, 2147483647]"),
+    (lambda d: d["space"].update(models=["conve"]),
+     "study.space: models value 'conve' with embedding_dims value 4: "
+     "no even reshape rows for d_e=4 with kernel (3, 3)"),
     (lambda d: d["space"].update(batch_sizes=[4, -1]),
-     "study.space: batch_sizes must all be positive"),
+     "study.space: batch_sizes value -1: must be >= 1"),
     (lambda d: d["space"].update(num_epochs=2.5), "study.space.num_epochs: expected int"),
     (lambda d: d["space"].update(learning_rate_range=[0.1]),
      "study.space: learning_rate_range needs two values"),
@@ -490,7 +497,7 @@ def test_hpo_bad_threads_env_exits_2(workspace, tmp_path, capsys, monkeypatch, v
     (lambda d: d.update(seed=-1), "study.seed: must be >= 0"),
 ], ids=["space-int", "space-null", "space-str-list", "space-bool-list",
         "budget-str", "budget-nan", "space-unknown", "budget-unknown",
-        "dims-zero", "batch-negative", "epochs-float", "range-one-value",
+        "dims-zero", "dims-too-wide", "conve-too-narrow", "batch-negative", "epochs-float", "range-one-value",
         "retrain", "no-dataset", "seed-negative"])
 def test_hpo_malformed_study_exits_2(workspace, tmp_path, capsys, edit, message):
     out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """Triple stores: TSV parsing, vocabularies, inverse augmentation, filters."""
 
+import collections
 import logging
 import os
 
@@ -253,14 +254,22 @@ def test_filter_index_matches_linear_scan():
                 assert idx.heads(r, t).tolist() == want_h[i]
                 assert idx.contains(h, r, t) == want_c[i]
             # batched queries: one (row, entity) pair per known completion
-            rows, tails = idx._pairs("tail", queries[:, 0], queries[:, 1])
+            rows, tails = idx.completions("tail", queries[:, 0], queries[:, 1])
             assert list(zip(rows.tolist(), tails.tolist())) == [
                 (i, e) for i, want in enumerate(want_t) for e in want]
-            rows, heads = idx._pairs("head", queries[:, 1], queries[:, 2])
+            rows, heads = idx.completions("head", queries[:, 1], queries[:, 2])
             assert list(zip(rows.tolist(), heads.tolist())) == [
                 (i, e) for i, want in enumerate(want_h) for e in want]
             got = idx.contains(queries[:, 0], queries[:, 1], queries[:, 2])
             assert got.tolist() == want_c
+            # the distinct queries with a completion, and how many each has
+            for side, query in (("tail", lambda row: (row[0], row[1])),
+                                ("head", lambda row: (row[1], row[2]))):
+                counts = collections.Counter(query(tuple(map(int, row)))
+                                             for row in np.unique(allt, axis=0))
+                (a, b), got = idx.groups(side)
+                assert list(zip(a.tolist(), b.tolist(), got.tolist())) == [
+                    (*q, n) for q, n in sorted(counts.items())]
             assert idx.contains(queries[:, 0][:, None], queries[:, 1][:, None],
                                 np.arange(n_e)).tolist() == [
                 [e in want for e in range(n_e)] for want in want_t]

@@ -240,15 +240,15 @@ def test_json_and_csv_output(tmp_path):
 
 
 def test_validation_callback_returns_selected_metric():
+    # the metric over both sides of the filtered validation split, realistic
     rng = np.random.default_rng(10)
     store = make_store(rng, 6, 2)
     model, params = int_model(rng, 6, 2)
-    cb = make_validation_callback(model, store, split="valid", metric="mrr",
-                                  side="tail", definition="optimistic")
+    cb = make_validation_callback(model, store, metric="mrr")
     want = compute_ranks(model, params, store, split="valid").get(
-        "mrr", side="tail", definition="optimistic"
+        "mrr", side="both", definition="realistic"
     )
-    assert cb(params) == pytest.approx(want)
+    assert cb(params) == want
 
 
 def test_given_filter_index_is_used_and_matches_a_fresh_build():

@@ -26,6 +26,7 @@ from kgembed.models import MAX_WIDTH, load_checkpoint
 from kgembed.pipeline import (build_model, build_training_config, execute_run,
                               normalize_config)
 from kgembed.sampling import derive_seed, rng_for
+from kgembed.training import DivergenceError
 
 
 TOY_SPLITS = (
@@ -86,7 +87,7 @@ def test_search_space_defaults_match_contract():
 def test_search_space_validation():
     with pytest.raises(ValueError, match="is empty"):
         SearchSpace(models=())
-    with pytest.raises(ValueError, match="unknown interaction kinds"):
+    with pytest.raises(ValueError, match="unknown interaction kind 'transz'"):
         SearchSpace(models=("distmult", "transz"))
     with pytest.raises(ValueError, match="approaches"):
         SearchSpace(approaches=("slcwa", "open-world"))
@@ -106,10 +107,17 @@ def test_search_space_validation():
         SearchSpace(num_epochs=0)
     with pytest.raises(ValueError, match="num_epochs must be a positive integer"):
         SearchSpace(num_epochs=2.5)  # would be truncated to 2 epochs
-    with pytest.raises(ValueError, match="embedding_dims must all be positive"):
+    with pytest.raises(ValueError, match="embedding_dims value 0: d_e must lie in"):
         SearchSpace(embedding_dims=(64, 0))
-    with pytest.raises(ValueError, match="batch_sizes must all be positive"):
+    with pytest.raises(ValueError, match="batch_sizes value -4: must be >= 1"):
         SearchSpace(batch_sizes=(-4,))
+    # every (model, dim) pair must build: ConvE cannot reshape 2 * 4 values
+    with pytest.raises(ValueError, match="models value 'conve' with embedding_dims value 4"):
+        SearchSpace(models=("distmult", "conve"), embedding_dims=(4, 16))
+    with pytest.raises(ValueError, match="label_smoothing_range value 1.4"):
+        SearchSpace(label_smoothing_range=(0.1, 1.5))
+    with pytest.raises(ValueError, match="adversarial_temperatures value 0.0: must be positive"):
+        SearchSpace(adversarial_temperatures=(0.5, 0.0))
     with pytest.raises(ValueError, match="needs two values"):
         SearchSpace(learning_rate_range=(0.01, 0.1, 1.0))
 
@@ -162,15 +170,16 @@ def test_sampled_configs_respect_the_space():
 
 def test_every_sample_builds_a_valid_training_config(tmp_path):
     # the approach-specific loss pools make compatibility hold by construction,
-    # and every trial document is a normalized run document
+    # and every trial document is a run document: normalized, it fills the
+    # same defaults the trial's TrainingConfig takes
     space = SearchSpace()
     rng = np.random.default_rng(1)
     paths = write_store(tmp_path)
     for _ in range(300):
         cfg = sample_config(space, rng)
         doc = trial_document(cfg, seed=0)
-        run = dict(doc, dataset=paths, output_dir=str(tmp_path / "out"))
-        assert normalize_config(json.loads(json.dumps(run))) == run
+        run = normalize_config(dict(doc, dataset=paths, output_dir=str(tmp_path / "out")))
+        assert build_training_config(run) == build_training_config(doc)
         tconf = build_training_config(doc)
         assert tconf.approach == cfg["approach"]
         assert tconf.loss.kind == cfg["loss"]
@@ -224,6 +233,8 @@ def test_trial_record_round_trip():
 def test_trial_document_clamps_eval_frequency():
     cfg = sample_config(tiny_space(num_epochs=5), rng_for(0, "trial-0/config"))
     doc = trial_document(cfg, seed=1, eval_frequency=50, patience=3)
+    # the document carries the study's settings; the run path clamps them
+    assert doc["early_stopping"]["frequency"] == 50
     tconf = build_training_config(doc)
     assert tconf.eval_frequency == 5   # clamped to the epoch cap
     assert tconf.patience == 5         # lifted to stay >= frequency
@@ -328,7 +339,8 @@ def test_trial_and_run_of_the_same_document_agree_exactly(tmp_path, trial):
                                patience=2)
     assert record.status == "completed"
     doc = trial_document(cfg, seed=seed, eval_frequency=1, patience=2)
-    result = execute_run(dict(doc, dataset=paths, output_dir=str(tmp_path / "run")))
+    result = execute_run(normalize_config(
+        dict(doc, dataset=paths, output_dir=str(tmp_path / "run"))))
     assert result["training"]["best_validation_metric"] == record.metric
     assert result["training"]["epochs_run"] == record.epochs_run
     _, saved, _ = load_checkpoint(result["paths"]["checkpoint"])
@@ -400,12 +412,16 @@ def test_random_search_rejects_bad_inputs():
         random_search(tiny_space(), add_inverse_relations(store))
 
 
-def test_study_with_no_completed_trials_raises():
-    store = toy_store()
-    # ConvE has no even reshape of a 1-wide embedding: every trial fails to build
-    space = tiny_space(models=("conve",), embedding_dims=(1,))
+def test_study_with_no_completed_trials_raises(monkeypatch):
+    import kgembed.hpo as hpo
+
+    def diverge(*args, **kwargs):
+        raise DivergenceError("epoch loss is not finite: nan")
+
+    # a valid space whose every trial fails in training
+    monkeypatch.setattr(hpo, "train_run", diverge)
     with pytest.raises(StudyError, match="no trial completed"):
-        random_search(space, store, budget=Budget(max_trials=2),
+        random_search(tiny_space(), toy_store(), budget=Budget(max_trials=2),
                       eval_frequency=1, patience=2)
 
 

@@ -13,7 +13,9 @@ from kgembed import training
 from kgembed.autodiff import keep_heap
 from kgembed.datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
 from kgembed.hpo import sample_config, trial_document
+from kgembed.losses import LossSpec
 from kgembed.models import load_checkpoint
+from kgembed.training import OptimizerSpec, TrainingConfig
 from kgembed.pipeline import (
     ConfigError,
     DataError,
@@ -162,6 +164,52 @@ def test_normalize_type_checks_reject_bools(data_dir, tmp_path):
         normalize_config(doc)
 
 
+# one out-of-range value per checked setting: (document path, value, the
+# dataclass call that takes it); every document sets early_stopping.frequency
+# to 20, which the patience rule's case needs
+SETTING_CASES = [
+    ("training.approach", "online", lambda: TrainingConfig(approach="online")),
+    ("training.batch_size", 0, lambda: TrainingConfig(batch_size=0)),
+    ("training.num_epochs", 0, lambda: TrainingConfig(num_epochs=0)),
+    ("training.num_negatives", 0, lambda: TrainingConfig(num_negatives=0)),
+    ("training.sampler", "zipf", lambda: TrainingConfig(sampler="zipf")),
+    ("training.label_smoothing", 1.0, lambda: TrainingConfig(label_smoothing=1.0)),
+    ("training.loss.kind", "quantile", lambda: LossSpec("quantile")),
+    ("training.loss.adversarial_temperature", 0.0,
+     lambda: LossSpec("nssal", adversarial_temperature=0.0)),
+    ("training.optimizer.kind", "sgd", lambda: OptimizerSpec(kind="sgd")),
+    ("training.optimizer.learning_rate", -0.1, lambda: OptimizerSpec(lr=-0.1)),
+    ("early_stopping.frequency", 0, lambda: TrainingConfig(eval_frequency=0)),
+    ("early_stopping.patience", 0, lambda: TrainingConfig(patience=0)),
+    ("seed", -1, lambda: TrainingConfig(seed=-1)),
+    # the two rules across fields
+    ("training.loss.kind", "cel",
+     lambda: TrainingConfig(approach="slcwa", loss=LossSpec("cel"))),
+    ("early_stopping.patience", 10,
+     lambda: TrainingConfig(eval_frequency=20, patience=10)),
+]
+
+
+@pytest.mark.parametrize("path, value, build", SETTING_CASES,
+                         ids=[f"{c[0]}={c[1]}" for c in SETTING_CASES])
+def test_dataclass_and_document_report_the_same_check(data_dir, tmp_path, path,
+                                                      value, build):
+    with pytest.raises(ValueError) as raised:
+        build()
+    message = str(raised.value).split(": ", 1)[1]
+    doc = minimal_doc(data_dir, tmp_path / "out")
+    doc["early_stopping"] = {"frequency": 20}
+    *parents, key = path.split(".")
+    holder = doc
+    for p in parents:
+        holder = holder.setdefault(p, {})
+    holder[key] = value
+    with pytest.raises(ConfigError) as e:
+        normalize_config(doc)
+    reported = path if parents else f"config.{path}"  # top-level fields
+    assert f"{reported}: {message}" in e.value.problems
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "none.json"))
@@ -235,7 +283,7 @@ def full_study_doc(data_dir, out_dir):
         "dataset": minimal_doc(data_dir, out_dir)["dataset"],
         "output_dir": str(out_dir),
         "space": {"models": ["distmult", "conve"], "approaches": ["slcwa", "lcwa"],
-                  "embedding_dims": [4, 8], "optimizers": ["adam", "adadelta"],
+                  "embedding_dims": [8, 16], "optimizers": ["adam", "adadelta"],
                   "learning_rate_range": [0.01, 0.1], "batch_sizes": [4],
                   "inverse_choices": [False, True], "num_epochs": 2,
                   "slcwa_losses": ["mrl", "nssal"], "lcwa_losses": ["cel"],
@@ -310,7 +358,7 @@ def test_fuzzed_study_documents_normalize_or_raise_config_error(data_dir, tmp_pa
     stores = {False: store, True: add_inverse_relations(store)}
     rng = np.random.default_rng(21)
     outcomes = {"normalized": 0, "rejected": 0}
-    for _ in range(1000):
+    for _ in range(1200):
         try:
             study = normalize_study(fuzzed(base, rng))
         except ConfigError as e:
@@ -318,17 +366,16 @@ def test_fuzzed_study_documents_normalize_or_raise_config_error(data_dir, tmp_pa
             outcomes["rejected"] += 1
             continue
         outcomes["normalized"] += 1
-        # every trial of an accepted study is a valid run document, whose
-        # model builds or raises ConfigError
+        # every trial of an accepted study builds its model and training
         cfg = sample_config(study["space"], rng)
         doc = trial_document(cfg, seed=0, eval_frequency=study["eval_frequency"],
                              patience=study["patience"])
-        normalize_config(dict(doc, dataset=base["dataset"], output_dir="out"))
-        try:
-            build_model(doc, stores[doc["inverse_relations"]])
-            build_training_config(doc)
-        except ConfigError as e:
-            assert e.problems
+        build_model(doc, stores[doc["inverse_relations"]])
+        build_training_config(doc)
+        if study["patience"] >= study["eval_frequency"]:
+            # the run path clamps a trial's early stopping; unclamped, the
+            # document is a run document when the patience rule holds
+            normalize_config(dict(doc, dataset=base["dataset"], output_dir="out"))
     assert min(outcomes.values()) > 50, outcomes
 
 

@@ -254,6 +254,23 @@ def test_unfiltered_negatives_are_pinned():
         "c2466857d56a6ba8526b1123d33dd3776435c864afe5e261ba8d617a8fa33f9a")
 
 
+def test_filtered_negatives_are_pinned():
+    # uniform and Bernoulli filtered draws over one epoch of Nations at a
+    # fixed seed, hashed: a change to FilterIndex.draw_unknown's arithmetic
+    # must not move them
+    s = TripleStore.from_directory(DATA / "nations")
+    fi = FilterIndex(s, splits=("train",))
+    digest = hashlib.sha256()
+    for kind in ("uniform", "bernoulli"):
+        sampler = NegativeSampler(s, kind=kind, filtered=True, filter_index=fi)
+        rng = np.random.default_rng(20)
+        for start in range(0, s.num_triples("train"), 256):
+            neg = sampler.corrupt(rng, s.triples["train"][start:start + 256], 2)
+            digest.update(np.ascontiguousarray(neg, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == (
+        "c849d63ac591a391dbf637860855567b797d27809cbd2c71568181336e42e985")
+
+
 def test_unfiltered_sampling_does_produce_false_negatives():
     s = toy_store()
     fi = FilterIndex(s, splits=("train",))
@@ -296,10 +313,9 @@ def test_lcwa_task_groups_pairs_and_tails():
     assert len(task) == 4  # (a,r0), (b,r1), (c,r1), (d,r1)
     i = [tuple(p) for p in task.pairs].index((a, r0))
     want = sorted(s.entity_to_id[x] for x in ("b", "c", "d"))
-    assert task.tails[i].tolist() == want
     labels = task.label_matrix([i])
     assert labels.shape == (1, s.num_entities)
-    assert labels[0].sum() == 3
+    assert np.flatnonzero(labels[0]).tolist() == want
     assert np.all(labels[0, want] == 1.0)
 
     # random stores, plain and inverse-augmented, against a per-row loop
@@ -318,7 +334,6 @@ def test_lcwa_task_groups_pairs_and_tails():
             for row, i in enumerate(indices):
                 h, r = groups[i]
                 tails = sorted({int(t) for hh, rr, t in train if (hh, rr) == (h, r)})
-                assert task.tails[i].tolist() == tails
                 want[row, tails] = 1.0
             assert np.array_equal(task.label_matrix(indices), want)
 
