@@ -20,6 +20,14 @@ more array per step; a strided view is copied, since the VJPs that read it
 run slower on it. Leaf gradients may alias each other or internal arrays and
 must be treated as read-only by their readers.
 
+Contractions: every einsum2 node, in its forward and in its VJP, is one
+np.matmul over operands reshaped to (batch, free, contracted) stacks, or a
+broadcast multiply when nothing is contracted; the plan is made once per
+(spec, shapes) and cached (_einsum_plan), and a spec is checked once.
+conv2d is im2col: the (kr, kc) windows become the rows of a (windows,
+kr·kc) matrix, so the forward and both gradients are matmuls, the input
+gradient followed by kr·kc shifted adds.
+
 Memory: a step's large temporaries are freed when its graph is dropped, and
 glibc would hand them back to the kernel, so the next step faults them in
 again. keep_heap() tells glibc to keep them; training.train and
@@ -28,6 +36,7 @@ evaluation.compute_ranks call it.
 
 import ctypes
 import functools
+import math
 import os
 import weakref
 
@@ -83,8 +92,10 @@ def _windows(x, kr, kc):
     return np.lib.stride_tricks.sliding_window_view(x, (kr, kc), axis=(-2, -1))
 
 
-def _einsum2_validate(spec):
-    """Check a two-operand einsum spec admits the transpose gradient rule."""
+@functools.lru_cache(maxsize=None)
+def _einsum_parts(spec):
+    """The labels (a, b, out) of a two-operand einsum spec, checked once per
+    spec: the spec must admit the transpose gradient rule."""
     try:
         lhs, out = spec.split("->")
         a, b = lhs.split(",")
@@ -104,48 +115,113 @@ def _einsum2_validate(spec):
     return a, b, out
 
 
+def _stack_plan(labels, batch, rows, cols, size):
+    """How an operand with `labels` becomes a (batch, rows, cols) stack of
+    matrices (see _stack). The operand is copied only when its labels are
+    not already grouped as batch, rows, cols or batch, cols, rows."""
+    def count(group):
+        return math.prod(size[label] for label in group)
+
+    shape = (count(batch), count(rows), count(cols))
+    if labels == batch + rows + cols:
+        return None, shape, False
+    if labels == batch + cols + rows:
+        return None, (shape[0], shape[2], shape[1]), True
+    return tuple(labels.index(label) for label in batch + rows + cols), shape, False
+
+
+def _stack(x, plan):
+    order, shape, transposed = plan
+    x = (x if order is None else x.transpose(order)).reshape(shape)
+    return x.swapaxes(1, 2) if transposed else x
+
+
 @functools.lru_cache(maxsize=4096)
 def _einsum_plan(sa, sb, so, shape_a, shape_b):
-    """The numpy spec, operand shapes and result shape of _einsum."""
+    """A function computing np.einsum(f"{sa},{sb}->{so}", a, b), where size-1
+    axes broadcast, for operands of these shapes: one np.matmul.
+
+    Size-1 axes are dropped, and a summed label that the other operand
+    broadcasts is summed out of the operand that has it. Each remaining label
+    is batch (both operands and the output), free (one operand and the
+    output) or contracted (both operands only). The operand whose free label
+    the output names first becomes a (batch, free, contracted) stack, the
+    other a (batch, contracted, free) one, and their matmul is written into
+    a fresh array of the output's shape, through a transpose when the output
+    interleaves the free labels. With nothing contracted the matmul is a
+    broadcast multiply.
+    """
     size = {}
     for labels, shape in ((sa, shape_a), (sb, shape_b)):
         for label, n in zip(labels, shape):
             if n != 1 or label not in size:
                 size[label] = n
+    out_shape = tuple(size[label] for label in so)
+    ko = [label for label in so if size[label] != 1]
+    la = [label for label, n in zip(sa, shape_a) if n != 1]
+    lb = [label for label, n in zip(sb, shape_b) if n != 1]
+    sum_a = tuple(i for i, label in enumerate(la) if label not in lb + ko)
+    sum_b = tuple(i for i, label in enumerate(lb) if label not in la + ko)
+    la = [label for label in la if label in lb + ko]
+    lb = [label for label in lb if label in la + ko]
+    batch = [label for label in ko if label in la and label in lb]
+    free_a = [label for label in ko if label in la and label not in lb]
+    free_b = [label for label in ko if label in lb and label not in la]
+    con = [label for label in la if label not in ko]
+    swap = bool(free_b) and (not free_a or ko.index(free_b[0]) < ko.index(free_a[0]))
+    if swap:
+        la, lb, free_a, free_b = lb, la, free_b, free_a
+    left = _stack_plan(la, batch, free_a, con, size)
+    right = _stack_plan(lb, batch, con, free_b, size)
+    op = np.matmul if con else np.multiply
+    grouped = batch + free_a + free_b
+    result = tuple(math.prod(size[label] for label in group) for group in (batch, free_a, free_b))
+    perm = None if grouped == ko else tuple(grouped.index(label) for label in ko)
+    squeezed_a = tuple(n for n in shape_a if n != 1)
+    squeezed_b = tuple(n for n in shape_b if n != 1)
 
-    def squeeze(labels, shape):
-        keep = [i for i, (label, n) in enumerate(zip(labels, shape))
-                if n != 1 or (label not in so and size[label] != 1)]
-        return "".join(labels[i] for i in keep), tuple(shape[i] for i in keep)
+    def run(a, b):
+        a, b = a.reshape(squeezed_a), b.reshape(squeezed_b)
+        if sum_a:
+            a = a.sum(axis=sum_a)
+        if sum_b:
+            b = b.sum(axis=sum_b)
+        x, y = (b, a) if swap else (a, b)
+        out = np.empty(out_shape)
+        if perm is None:
+            op(_stack(x, left), _stack(y, right), out=out.reshape(result))
+        else:
+            z = op(_stack(x, left), _stack(y, right))
+            np.copyto(out.reshape([size[label] for label in ko]),
+                      z.reshape([size[label] for label in grouped]).transpose(perm))
+        return out
 
-    (ka, shape_a), (kb, shape_b) = squeeze(sa, shape_a), squeeze(sb, shape_b)
-    ko = "".join(label for label in so if size[label] != 1)
-    return f"{ka},{kb}->{ko}", shape_a, shape_b, tuple(size[label] for label in so)
+    return run
 
 
 def _einsum(sa, sb, so, a, b):
-    """np.einsum(f"{sa},{sb}->{so}", a, b) where size-1 axes broadcast.
-
-    An axis of size 1 whose label is kept in the output, or has size 1 in
-    both operands, is dropped before numpy sees it and restored by a reshape
-    of the result. numpy leaves BLAS for a contraction in which a label has
-    size 1 everywhere, and a broadcast label shared by both operands keeps
-    it off BLAS too: "bnij,bnj->bni" on (B, 1, d, d) and (1, E, d) operands
-    becomes the tensordot "bij,nj->bni".
-    """
-    spec, shape_a, shape_b, shape = _einsum_plan(sa, sb, so, a.shape, b.shape)
-    return np.einsum(spec, a.reshape(shape_a), b.reshape(shape_b), optimize=True).reshape(shape)
+    """np.einsum(f"{sa},{sb}->{so}", a, b) where size-1 axes broadcast, as
+    the planned matmul of _einsum_plan; the result is a fresh C-contiguous
+    array that owns its memory."""
+    return _einsum_plan(sa, sb, so, a.shape, b.shape)(a, b)
 
 
 # ---------------------------------------------------------------------------
 # forward implementations, keyed by op kind
 # ---------------------------------------------------------------------------
 
+def _patches(x, kr, kc):
+    """im2col: every (kr, kc) window of x as one row of a (windows, kr·kc)
+    matrix, windows in (..., mo, no) order."""
+    return _windows(x, kr, kc).reshape((-1, kr * kc))
+
+
 def _fw_conv2d(x, f):
     # x: (m, n) or (B, m, n); f: (F, kr, kc); valid padding, stride 1
-    kr, kc = f.shape[-2:]
-    w = _windows(x, kr, kc)  # (..., mo, no, kr, kc)
-    return np.einsum("...ijkl,fkl->...fij", w, f, optimize=True)
+    F, kr, kc = f.shape
+    mo, no = x.shape[-2] - kr + 1, x.shape[-1] - kc + 1
+    y = _patches(x, kr, kc) @ f.reshape((F, kr * kc)).T  # (B·mo·no, F)
+    return np.moveaxis(y.reshape(x.shape[:-2] + (mo, no, F)), -1, -3)
 
 
 _FORWARD = {
@@ -232,7 +308,17 @@ def _einsum_into(s1, s2, target, x, y, shape):
     the axes the operand broadcast (size 1 in `shape`) are summed inside the
     contraction, so the broadcast gradient is never materialised."""
     kept = "".join(label for label, n in zip(target, shape) if n != 1)
-    return _einsum(s1, s2, kept, x, y).reshape(shape)
+    z = _einsum(s1, s2, kept, x, y)
+    # a reshape to the same shape would still be a view, which backward
+    # copies before it accumulates into a leaf
+    if z.shape == shape:
+        return z
+    if z.size == math.prod(shape):
+        return z.reshape(shape)
+    # the other operand broadcast a label summed out of the output: the
+    # gradient is constant along it
+    sizes = iter(z.shape)
+    return np.broadcast_to(z.reshape([1 if n == 1 else next(sizes) for n in shape]), shape)
 
 
 def _vjp_einsum2(g, node, a, b):
@@ -308,15 +394,21 @@ def _vjp_softmax_xent(g, node, x, labels):
 
 
 def _vjp_conv2d(g, node, x, f):
-    # g: (..., F, mo, no)
-    kr, kc = f.shape[-2:]
-    pad = [(0, 0)] * (g.ndim - 2) + [(kr - 1, kr - 1), (kc - 1, kc - 1)]
-    gp = np.pad(g, pad)
-    wg = _windows(gp, kr, kc)  # (..., F, m, n, kr, kc)
-    dx = np.einsum("...fijkl,fkl->...ij", wg, f[:, ::-1, ::-1], optimize=True)
+    # g: (..., F, mo, no), as the (B·mo·no, F) matrix of the forward matmul
+    F, kr, kc = f.shape
     mo, no = g.shape[-2:]
-    wx = _windows(x, mo, no)  # (..., kr, kc, mo, no)
-    df = np.einsum("...klij,...fij->fkl", wx, g, optimize=True)
+    gm = np.moveaxis(g, -3, -1).reshape((-1, F))
+    pa, pb = node.parents
+    dx = df = None
+    if pa.requires_grad:
+        # each window's gradient, added back where the window sits
+        cols = (gm @ f.reshape((F, kr * kc))).reshape(g.shape[:-3] + (mo, no, kr, kc))
+        dx = np.zeros(x.shape)
+        for i in range(kr):
+            for j in range(kc):
+                dx[..., i:i + mo, j:j + no] += cols[..., i, j]
+    if pb.requires_grad:
+        df = (gm.T @ _patches(x, kr, kc)).reshape(f.shape)
     return dx, df
 
 
@@ -489,7 +581,7 @@ class Graph:
             if p.graph is not self:
                 raise ValueError("cannot mix nodes from different graphs")
         if op == "einsum2":
-            attrs["_parts"] = _einsum2_validate(attrs["spec"])
+            attrs["_parts"] = _einsum_parts(attrs["spec"])
         if op == "gather":
             attrs["indices"] = np.asarray(attrs["indices"], dtype=np.intp)
         if op == "matmul":

@@ -6,7 +6,10 @@ Every model follows the same conventions:
     negated distances, and models with a probabilistic reading return the
     logit, never a sigmoid
   * score_triples builds graph nodes for a batch of id triples, so the same
-    code path serves training (with gradients) and evaluation (without)
+    code path serves training (with gradients) and evaluation (without);
+    it takes (B,) ids, or (B, N) h and t ids whose row b shares the relation
+    r_ids[b] and returns (B, N) scores, as the sLCWA step scores a positive
+    with its negatives
   * score_tails / score_heads return a (batch, num_entities) score matrix and
     must agree with the scalar path to 1e-10
 
@@ -19,6 +22,15 @@ broadcast against each other (N = 1 for single triples, E for the candidate
 side), or, when its score is an inner product <q(h, r), k(t)>, derives from
 ContextInteraction and defines `tail_query`, optionally `head_query` and
 `keys`, so that both all-entity sides are one matmul.
+
+The relation-width rule: in a (B, N) call, entity rows are gathered as
+(B, N, ...) and relation rows once per row, as (B, 1, ...), when the model's
+relation row is wider than its entity row (SE, TransH, TransR, RESCAL and
+NTN at their default widths), so that a d×d matrix is not copied per
+triple. Otherwise the relation ids are broadcast to (B, N) first: an operand
+of the same shape as the entity rows keeps the cheap scores off
+broadcasting loops and their gradient reductions. The rule reads only the
+table shapes.
 
 Dimensions follow the usual conventions: d_e entity dim, d_r relation dim,
 k an extra per-kind width (TransD projection size, NTN slice count, ERMLP
@@ -225,10 +237,20 @@ def _one(nodes):
     return nodes[0] if len(nodes) == 1 else nodes
 
 
+def _grid(ids):
+    """Ids as a (B, N) array; (B,) ids become (B, 1)."""
+    ids = np.asarray(ids, dtype=np.intp)
+    return ids if ids.ndim == 2 else ids.reshape((-1, 1))
+
+
 def _rows(g, P, names, ids):
-    """(B, 1, ...) rows of the named tables at the B ids."""
-    ids = np.asarray(ids, dtype=np.intp).reshape((-1, 1))
+    """(B, N, ...) rows of the named tables at (B, N) ids."""
     return _one(g.gather(P[n], ids) for n in names)
+
+
+def _row_width(P, names):
+    """Values in one row of the named tables together."""
+    return sum(_size(P[n].shape[1:]) for n in names)
 
 
 class Interaction:
@@ -263,18 +285,32 @@ class Interaction:
         """In-place constraint hook applied after every optimizer step."""
 
     def _entities(self, g, P, ids=None):
-        """(B, 1, ...) rows at `ids`, or with ids None (1, E, ...) views."""
+        """(B, N, ...) rows at (B,) or (B, N) ids, or with ids None (1, E, ...) views."""
         if ids is None:
             return _one(P[n].reshape((1,) + P[n].shape) for n in self.entity_tables)
-        return _rows(g, P, self.entity_tables, ids)
+        return _rows(g, P, self.entity_tables, _grid(ids))
 
-    def _relations(self, g, P, ids):
+    def _relations(self, g, P, ids, n=1):
+        """Rows at the (B,) relation ids of n triples each: (B, 1, ...) when
+        the model's relation row is wider than its entity row, else one row
+        per triple, (B, n, ...)."""
+        ids = _grid(ids)
+        if _row_width(P, self.relation_tables) <= _row_width(P, self.entity_tables):
+            ids = np.broadcast_to(ids, (ids.shape[0], n))
         return _rows(g, P, self.relation_tables, ids)
 
+    def _triples(self, g, P, h_ids, r_ids, t_ids):
+        """The (h, r, t) rows of id triples: (B,) ids, or (B, N) h and t ids
+        whose row b shares the relation r_ids[b]."""
+        h_ids = _grid(h_ids)
+        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids, h_ids.shape[1])
+        return h, r, self._entities(g, P, t_ids)
+
     def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        """(B,) scores of id triples, as a graph node."""
-        h, t = self._entities(g, P, h_ids), self._entities(g, P, t_ids)
-        return self.interaction(g, P, h, self._relations(g, P, r_ids), t).reshape((-1,))
+        """(B,) scores of (B,) id triples, or the (B, N) scores of (B, N) h
+        and t ids with (B,) r ids, as a graph node."""
+        h, r, t = self._triples(g, P, h_ids, r_ids, t_ids)
+        return self.interaction(g, P, h, r, t).reshape(np.shape(h_ids))
 
     def score_tails(self, g, P, h_ids, r_ids):
         """(B, E) scores for every candidate tail."""
@@ -332,27 +368,27 @@ class ContextInteraction(Interaction):
         return e
 
     def _scores(self, g, P, query, t=None, t_ids=None):
-        """(B, N) scores of a query against the keys of (B, 1) tails t, or
+        """(B, N) scores of a query against the keys of (B, N) tails t, or
         with t None, against every entity's keys in one matmul."""
         q, c = query if isinstance(query, tuple) else (query, None)
         if t is None:
-            # the (E, ...) tables themselves, not (1, E, ...) views: the
-            # gradient then reaches them without another copy
+            # the (E, ...) tables themselves, not (1, E, ...) views, and no
+            # transpose node: the planned matmul reads the table in place
+            # and its gradient comes back C-contiguous
             K = self.keys(g, P, _one(P[n] for n in self.entity_tables))
-            s = q.reshape((q.shape[0], K.shape[1])) @ K.T
+            s = g.einsum("bd,ed->be", q.reshape((q.shape[0], K.shape[1])), K)
         else:
             s = (q * self.keys(g, P, t)).sum(axis=-1)
         if c is not None:
             s = s + c
         if self.entity_bias is not None:
             names = (self.entity_bias,)
-            s = s + (P[self.entity_bias] if t_ids is None else _rows(g, P, names, t_ids))
+            s = s + (P[self.entity_bias] if t_ids is None else _rows(g, P, names, _grid(t_ids)))
         return s
 
     def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)
-        t = self._entities(g, P, t_ids)
-        return self._scores(g, P, self.tail_query(g, P, h, r), t, t_ids).reshape((-1,))
+        h, r, t = self._triples(g, P, h_ids, r_ids, t_ids)
+        return self._scores(g, P, self.tail_query(g, P, h, r), t, t_ids).reshape(np.shape(h_ids))
 
     def score_tails(self, g, P, h_ids, r_ids):
         h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)

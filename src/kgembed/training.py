@@ -233,15 +233,13 @@ def train_epoch(model, params, store, config, optimizer, rng, sampler=None, task
     if config.approach == "slcwa":
         for pos in slcwa_batches(store, config.batch_size, rng):
             neg = sampler.corrupt(rng, pos, config.num_negatives)
-            B, K = neg.shape[0], neg.shape[1]
-            flat = neg.reshape(-1, 3)
+            # the sampler replaces only h or t, so a row shares its relation
+            h, t = (np.concatenate([pos[:, None, i], neg[:, :, i]], axis=1) for i in (0, 2))
 
-            def build(g, P, pos=pos, flat=flat, B=B, K=K):
-                pos_scores = model.score_triples(g, P, pos[:, 0], pos[:, 1], pos[:, 2])
-                neg_scores = model.score_triples(g, P, flat[:, 0], flat[:, 1], flat[:, 2])
-                pos_scores = _clamped(g, model, pos_scores)
-                neg_scores = _clamped(g, model, neg_scores).reshape((B, K))
-                return slcwa_loss(g, config.loss, pos_scores, neg_scores)
+            def build(g, P, h=h, r=pos[:, 1], t=t):
+                # one (B, 1 + K) call: column 0 the positives, the rest their negatives
+                scores = _clamped(g, model, model.score_triples(g, P, h, r, t))
+                return slcwa_loss(g, config.loss, scores[:, 0], scores[:, 1:])
 
             run_step(build)
     else:

@@ -271,6 +271,7 @@ def test_einsum_broadcasts_size_one_axes():
         ("bnij,bnj->bni", (3, 1, 4, 4), (1, 5, 4)),
         ("bni,bnijk->bnjk", (3, 1, 4), (3, 1, 4, 2, 2)),
         ("bnd,bnd->bn", (1, 5, 4), (3, 1, 4)),
+        ("bnd,bnd->b", (3, 5, 4), (3, 1, 4)),  # n summed, broadcast by one operand
     ]
     for spec, sa, sb in cases:
         a, b = rng.normal(size=sa), rng.normal(size=sb)
@@ -726,3 +727,121 @@ def test_op_table_holds_exactly_the_ops_models_and_losses_reach():
         run(lambda g: losses.lcwa_loss(g, losses.LossSpec(kind), g.leaf(scores), labels))
 
     assert reached == set(_FORWARD) == set(_VJP)
+
+
+# ---------------------------------------------------------------------------
+# einsum2 and conv2d lowered to planned matmuls
+# ---------------------------------------------------------------------------
+
+def _model_graphs():
+    """The backward-swept graphs of every model's scoring paths: (B,) and
+    (B, N) triples, every tail and every head."""
+    from kgembed import models
+
+    h, r, t = np.array([0, 4]), np.array([1, 0]), np.array([2, 4])
+    grid_h, grid_t = np.array([[0, 1, 3], [4, 2, 2]]), np.array([[2, 2, 0], [4, 1, 3]])
+    for kind in models.KINDS:
+        spec = models.InteractionSpec(kind, num_entities=5, num_relations=2,
+                                      d_e=8 if kind == "conve" else 4, tau=2)
+        model = models.build_interaction(spec)
+        params = models.init_parameters(model, 0)
+        for path in (lambda g, P: model.score_triples(g, P, h, r, t),
+                     lambda g, P: model.score_triples(g, P, grid_h, r, grid_t),
+                     lambda g, P: model.score_tails(g, P, h, r),
+                     lambda g, P: model.score_heads(g, P, r, t)):
+            g = Graph()
+            g.backward(path(g, model.leaves(g, params)).sum())
+            yield g
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * max(1.0, np.abs(want).max()))
+
+
+def test_einsum_lowering_matches_unoptimized_einsum(monkeypatch):
+    # every spec and operand shape the models reach: the forward value and
+    # both VJPs equal np.einsum(optimize=False) on the broadcast operands,
+    # and no einsum2 or conv2d node calls np.einsum
+    from kgembed.autodiff import _FORWARD, _VJP
+
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+    reached = {(node.attrs["spec"], node.parents[0].shape, node.parents[1].shape)
+               for g in _model_graphs() for node in g.nodes if node.op == "einsum2"}
+    assert calls == []
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert len(reached) > 20
+    rng = rng_seq(19)
+    for spec, sa, sb in sorted(reached):
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        lhs, so = spec.split("->")
+        la, lb = lhs.split(",")
+        size = {}
+        for label, n in list(zip(la, sa)) + list(zip(lb, sb)):
+            size[label] = max(n, size.get(label, 1))
+        full_a = np.broadcast_to(a, tuple(size[label] for label in la))
+        full_b = np.broadcast_to(b, tuple(size[label] for label in lb))
+        want = np.einsum(spec, full_a, full_b, optimize=False)
+        g = Graph()
+        x, y = g.leaf(a), g.leaf(b)
+        node = g.apply("einsum2", x, y, spec=spec)
+        _close(_FORWARD["einsum2"](node.attrs, a, b), want)
+        gz = rng.normal(size=want.shape)
+        ga, gb = _VJP["einsum2"](gz, node, a, b)
+        _close(ga, _sum_to(np.einsum(f"{so},{lb}->{la}", gz, full_b, optimize=False), sa))
+        _close(gb, _sum_to(np.einsum(f"{la},{so}->{lb}", full_a, gz, optimize=False), sb))
+
+
+def _conv2d_window_einsum(x, f, g):
+    """The window-einsum conv2d of earlier versions: forward value, dx, df."""
+    from kgembed.autodiff import _windows
+
+    kr, kc = f.shape[-2:]
+    y = np.einsum("...ijkl,fkl->...fij", _windows(x, kr, kc), f, optimize=True)
+    pad = [(0, 0)] * (g.ndim - 2) + [(kr - 1, kr - 1), (kc - 1, kc - 1)]
+    wg = _windows(np.pad(g, pad), kr, kc)
+    dx = np.einsum("...fijkl,fkl->...ij", wg, f[:, ::-1, ::-1], optimize=True)
+    mo, no = g.shape[-2:]
+    df = np.einsum("...klij,...fij->fkl", _windows(x, mo, no), g, optimize=True)
+    return y, dx, df
+
+
+def test_conv2d_lowering_matches_window_einsum():
+    # the im2col forward and VJP against the window einsums they replaced,
+    # at the shapes ConvE reaches and on a single 2-D image
+    from kgembed.autodiff import _FORWARD, _VJP
+
+    reached = {(node.parents[0].shape, node.parents[1].shape)
+               for g in _model_graphs() for node in g.nodes if node.op == "conv2d"}
+    assert reached
+    rng = rng_seq(20)
+    for sx, sf in sorted(reached) + [((5, 7), (3, 2, 3))]:
+        x, f = rng.normal(size=sx), rng.normal(size=sf)
+        g = Graph()
+        node = g.apply("conv2d", g.leaf(x), g.leaf(f))
+        gz = rng.normal(size=node.shape)
+        y, dx, df = _conv2d_window_einsum(x, f, gz)
+        _close(_FORWARD["conv2d"](node.attrs, x, f), y)
+        got_dx, got_df = _VJP["conv2d"](gz, node, x, f)
+        _close(got_dx, dx)
+        _close(got_df, df)
+
+
+def test_all_entity_step_copies_no_entity_table():
+    # one distmult LCWA step: the (B, d) @ (d, E) product reads the entity
+    # table in place, with no transpose node, and hands back a C-contiguous
+    # gradient that backward keeps as it is
+    from kgembed import losses, models
+
+    model = models.build_interaction(models.InteractionSpec("distmult", num_entities=9,
+                                                            num_relations=2, d_e=4))
+    params = models.init_parameters(model, 0)
+    g = Graph()
+    P = model.leaves(g, params)
+    scores = model.score_tails(g, P, [0, 3, 5], [1, 0, 1])
+    g.backward(losses.lcwa_loss(g, losses.LossSpec("cel"), scores, np.eye(9)[[1, 2, 3]]))
+    assert "transpose" not in {node.op for node in g.nodes}
+    grad = P["entity"].grad
+    assert grad.flags.c_contiguous and grad.base is None

@@ -483,6 +483,47 @@ def test_score_batch_matches_scalar_scores():
     assert np.allclose(got, want, atol=1e-12)
 
 
+# the models whose relation row is wider than their entity row: a (B, N)
+# call gathers their relation rows once per row, as (B, 1, ...)
+RELATION_ONCE = {"se", "transh", "transr", "rescal", "ntn"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_grid_scores_match_flat_triples(kind):
+    # (B, N) h and t ids sharing each row's relation, as the sLCWA step
+    # scores a positive and its negatives: scores and the gradient of their
+    # weighted sum equal the flattened (B·N,) triples' to 1e-10
+    spec, model, params = make(kind)
+    rng = np.random.default_rng(17)
+    B, N = 4, 3
+    h = rng.integers(0, spec.num_entities, (B, N))
+    t = rng.integers(0, spec.num_entities, (B, N))
+    r = rng.integers(0, spec.num_relations, B)
+    w = rng.normal(size=(B, N))
+    runs = []
+    for grid in (True, False):
+        g = Graph()
+        P = model.leaves(g, params)
+        if grid:
+            s = model.score_triples(g, P, h, r, t)
+        else:
+            s = model.score_triples(g, P, h.reshape(-1), np.repeat(r, N), t.reshape(-1))
+            s = s.reshape((B, N))
+        g.backward((s * w).sum())
+        runs.append((s.value, {k: P[k].grad for k in params}, g, P))
+    (got, grads, g, P), (want, flat_grads, _, _) = runs
+    assert got.shape == (B, N)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+    for k, grad in flat_grads.items():
+        assert np.all(np.abs(grads[k] - grad) <= 1e-10 * np.maximum(1.0, np.abs(grad))), k
+    relation_rows = {node.shape[1] for node in g.nodes if node.op == "gather"
+                     and node.parents[0] in [P[n] for n in model.relation_tables]}
+    if kind in RELATION_ONCE:
+        assert relation_rows == {1}
+    elif model.relation_tables:
+        assert relation_rows == {N}
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
