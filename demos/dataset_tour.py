@@ -41,6 +41,6 @@ print("triple", (h, r, t), "gains inverse", (t, r + store.num_relations, h))
 
 fi = FilterIndex(store)
 h, r, t = (int(v) for v in store.triples["test"][0])
-known = fi.tails(h, r)
+known = fi.completions("tail", [h], [r])[1]
 print(f"\ntest triple ({h}, {r}, {t}): the filtered setting drops the "
       f"{len(known)} completion(s) already known to be true from its candidates")

@@ -73,6 +73,8 @@ def _load_eval_store(args):
 
 
 def cmd_evaluate(args):
+    if args.batch_size is not None and args.batch_size < 1:
+        raise ConfigError([f"evaluate: --batch-size must be >= 1, got {args.batch_size}"])
     try:
         spec, params, extra = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError) as e:
@@ -251,7 +253,8 @@ def build_parser():
     p.add_argument("--rank", choices=RANK_DEFINITIONS + ("all",),
                    default="realistic")
     p.add_argument("--side", choices=("head", "tail", "both"), default="both")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=int, default=None,
+                   help="triples scored at once (default: sized to about 4 MiB per chunk)")
     p.add_argument("--output", default=None, help="write the full report JSON here")
     p.add_argument("--csv", default=None, help="write the printed rows as CSV here")
     p.set_defaults(func=cmd_evaluate)

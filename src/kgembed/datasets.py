@@ -277,16 +277,3 @@ class FilterIndex:
         u += (saturated | unknown) & (u >= np.where(saturated, exclude, exclude - below))
         found = u + np.searchsorted(self._adj[side], start - lo + u, "right") - lo
         return np.where(saturated, u, found), saturated
-
-    def tails(self, h, r):
-        """All known true tails t such that (h, r, t) is a stored triple."""
-        return self.completions("tail", h, r)[1]
-
-    def heads(self, r, t):
-        """All known true heads h such that (h, r, t) is a stored triple."""
-        return self.completions("head", r, t)[1]
-
-    def contains(self, h, r, t):
-        """Whether (h, r, t) is a stored triple; broadcasts over arrays."""
-        key = (np.asarray(h, dtype=np.int64) * self.num_relations + r) * self.num_entities + t
-        return np.searchsorted(self.tail_keys, key, "right") > np.searchsorted(self.tail_keys, key)

@@ -27,13 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Graph, keep_heap
-from .datasets import FilterIndex, SPLITS
+from .datasets import FilterIndex
 
 HITS_LEVELS = (1, 3, 5, 10)
 RANK_DEFINITIONS = ("optimistic", "pessimistic", "realistic")
 SIDES = ("head", "tail")
 # the metrics early stopping can maximize; the first is the default metric
 STOPPER_METRICS = ("hits_at_10", "mrr")
+# compute_ranks' first chunk of rows, and the bytes it sizes later chunks to
+FIRST_CHUNK_ROWS = 64
+CHUNK_BYTES = 4 * 2**20
 
 
 def rank_from_scores(true_score, candidate_scores):
@@ -61,13 +64,9 @@ class SideRanks:
         return 0.5 * (self.optimistic + self.pessimistic)
 
     def by_definition(self, definition):
-        if definition == "optimistic":
-            return self.optimistic.astype(np.float64)
-        if definition == "pessimistic":
-            return self.pessimistic.astype(np.float64)
-        if definition == "realistic":
-            return self.realistic
-        raise ValueError(f"unknown rank definition {definition!r}")
+        if definition not in RANK_DEFINITIONS:
+            raise ValueError(f"unknown rank definition {definition!r}")
+        return getattr(self, definition).astype(np.float64)
 
     @staticmethod
     def concatenate(parts):
@@ -107,7 +106,7 @@ class RankingResult:
         return names
 
     def _side_ranks(self, side):
-        if side == "both":
+        if side == "both" and len(self.sides) > 1:
             return SideRanks.concatenate([self.sides[s] for s in SIDES if s in self.sides])
         return self.sides[side]
 
@@ -123,7 +122,8 @@ class RankingResult:
         return out
 
     def get(self, metric=STOPPER_METRICS[0], side="both", definition="realistic"):
-        return self.metrics()[side][definition][metric]
+        sr = self._side_ranks(side)
+        return _metrics_from_ranks(sr.by_definition(definition), sr.candidates)[metric]
 
     # ----- output -----------------------------------------------------------
 
@@ -140,88 +140,91 @@ class RankingResult:
 
     def csv_rows(self, definitions=RANK_DEFINITIONS, sides=None):
         """One flat row per rank definition and side."""
-        rows = []
         metrics = self.metrics()
-        for side in sides or self.side_names():
-            for d in definitions:
-                m = metrics[side][d]
-                row = {
-                    "split": self.split,
-                    "filtered": self.filtered,
-                    "side": side,
-                    "rank_definition": d,
-                }
-                row.update(m)
-                rows.append(row)
-        return rows
+        return [{"split": self.split, "filtered": self.filtered, "side": side,
+                 "rank_definition": d, **metrics[side][d]}
+                for side in sides or self.side_names() for d in definitions]
 
 
-def _score_matrix(model, params, side, triples, use_inverse, base_relations):
-    g = Graph()
+def _score_matrix(g, model, params, side, triples, store):
+    """(B, E) scores of one chunk, computed in the graph g."""
     P = model.leaves(g, params, trainable=False)
-    h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
+    h, r, t = triples.T
     if side == "tail":
         return model.score_tails(g, P, h, r).value
-    if use_inverse:
-        return model.score_tails(g, P, t, r + base_relations).value
+    if store.inverse_augmented:
+        return model.score_tails(g, P, t, r + store.num_base_relations).value
     return model.score_heads(g, P, r, t).value
 
 
 def compute_ranks(model, params, store, split="test", *, filtered=True,
-                  filter_splits=SPLITS, use_inverse=None, sides=SIDES,
-                  batch_size=64, filter_index=None):
-    """Rank every triple of a split in the requested directions.
+                  batch_size=None, filter_index=None):
+    """Rank every triple of a split in both directions.
 
-    use_inverse defaults to whether the store was augmented with inverse
-    relations; when true, head queries are answered by scoring all tails of
-    (t, r_inverse). filter_index, when given, is used for filtering instead
-    of building a FilterIndex over filter_splits; a caller that ranks the
-    same store repeatedly builds it once and passes it every time.
+    Head queries of an inverse-augmented store are answered by scoring all
+    tails of (t, r_inverse). filtered is True, False or a tuple of them; a
+    tuple gives one RankingResult per entry, all from the same score
+    matrices. filter_index, when given, filters instead of a FilterIndex
+    built over all splits; a caller that ranks the same store repeatedly
+    builds it once and passes it every time.
+
+    batch_size fixes the rows scored at once. By default (None) the first
+    chunk has FIRST_CHUNK_ROWS rows and each later one as many as fit in
+    CHUNK_BYTES at the bytes per row the chunk before it held (its score
+    graph's values and its masks), but never fewer than FIRST_CHUNK_ROWS.
     """
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     keep_heap()
-    if use_inverse is None:
-        use_inverse = store.inverse_augmented
-    if use_inverse and not store.inverse_augmented:
-        raise ValueError("use_inverse needs an inverse-augmented store")
+    flags = tuple(filtered) if isinstance(filtered, tuple) else (bool(filtered),)
     triples = store.triples[split]
-    if filtered and filter_index is None:
-        filter_index = FilterIndex(store, splits=filter_splits)
-    fi = filter_index if filtered else None
-
-    side_ranks = {}
-    for side in sides:
-        opt = np.empty(triples.shape[0], dtype=np.int64)
-        pess = np.empty(triples.shape[0], dtype=np.int64)
-        cand = np.empty(triples.shape[0], dtype=np.int64)
-        for start in range(0, triples.shape[0], batch_size):
-            chunk = triples[start : start + batch_size]
-            S = _score_matrix(model, params, side, chunk, use_inverse,
-                              store.num_base_relations)
-            targets = chunk[:, 2] if side == "tail" else chunk[:, 0]
+    if True in flags and filter_index is None:
+        filter_index = FilterIndex(store)
+    # optimistic ranks, pessimistic ranks and candidate counts
+    counts = {(flag, side): np.empty((3, triples.shape[0]), dtype=np.int64)
+              for flag in flags for side in SIDES}
+    for side in SIDES:
+        start, rows = 0, batch_size or FIRST_CHUNK_ROWS
+        while start < triples.shape[0]:
+            chunk = triples[start : start + rows]
+            g = Graph()
+            S = _score_matrix(g, model, params, side, chunk, store)
+            held = sum(node.value.nbytes for node in g.nodes if node.op != "leaf")
+            del g  # ranking needs only S
+            idx, targets = np.arange(chunk.shape[0]), chunk[:, 2 if side == "tail" else 0]
+            gt = S > S[idx, targets][:, None]
+            ge = S >= S[idx, targets][:, None]
+            del S  # the masks are all the counts need
             # the true entity is what gets ranked, so it is never a candidate;
-            # filtering only removes the OTHER known-true entities
-            mask = np.ones(S.shape, dtype=bool)
-            if filtered:
-                query = chunk[:, :2] if side == "tail" else chunk[:, 1:]  # (h, r) or (r, t)
-                mask[fi.completions(side, *query.T)] = False
-            mask[np.arange(chunk.shape[0]), targets] = False
-            true_scores = S[np.arange(chunk.shape[0]), targets]
-            gt = (S > true_scores[:, None]) & mask
-            ge = (S >= true_scores[:, None]) & mask
-            sl = slice(start, start + chunk.shape[0])
-            opt[sl] = 1 + gt.sum(axis=1)
-            pess[sl] = 1 + ge.sum(axis=1)
-            cand[sl] = mask.sum(axis=1)
-        side_ranks[side] = SideRanks(opt, pess, cand)
-    return RankingResult(side_ranks, split, filtered)
+            # filtering only removes the OTHER known-true entities, so the
+            # unfiltered counts come first
+            keep = np.ones(gt.shape, dtype=bool)
+            keep[idx, targets] = False
+            for flag in sorted(set(flags)):
+                if flag:
+                    query = chunk[:, :2] if side == "tail" else chunk[:, 1:]  # (h, r) or (r, t)
+                    keep[filter_index.completions(side, *query.T)] = False
+                c = counts[flag, side][:, start : start + chunk.shape[0]]
+                c[0] = 1 + np.count_nonzero(gt & keep, axis=1)
+                c[1] = 1 + np.count_nonzero(ge & keep, axis=1)
+                c[2] = np.count_nonzero(keep, axis=1)
+            start += chunk.shape[0]
+            held += 3 * keep.nbytes
+            del gt, ge, keep  # freed before the next chunk is scored
+            if batch_size is None:
+                rows = max(FIRST_CHUNK_ROWS, CHUNK_BYTES * chunk.shape[0] // held)
+    results = tuple(RankingResult({side: SideRanks(*counts[flag, side]) for side in SIDES},
+                                  split, flag) for flag in flags)
+    return results if isinstance(filtered, tuple) else results[0]
 
 
 def rank_test_split(model, params, store, filter_index=None):
     """Test-split metrics, {"filtered"/"unfiltered": RankingResult.metrics()},
-    as a run's result.json and a study's best.json report them."""
-    return {name: compute_ranks(model, params, store, split="test", filtered=flag,
-                                filter_index=filter_index).metrics()
-            for name, flag in (("filtered", True), ("unfiltered", False))}
+    as a run's result.json and a study's best.json report them; one ranking
+    pass gives both."""
+    filtered, unfiltered = compute_ranks(model, params, store, split="test",
+                                         filtered=(True, False), filter_index=filter_index)
+    return {"filtered": filtered.metrics(), "unfiltered": unfiltered.metrics()}
 
 
 def make_validation_callback(model, store, *, metric=STOPPER_METRICS[0],

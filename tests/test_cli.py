@@ -316,6 +316,13 @@ def test_evaluate_batch_size_does_not_change_results(workspace, capsys):
     assert one == capsys.readouterr().out
 
 
+def test_evaluate_non_positive_batch_size_exits_2(workspace, capsys):
+    for size in ("0", "-3"):
+        assert main(["evaluate", str(workspace["checkpoint"]), "--data",
+                     str(workspace["data"]), "--batch-size", size]) == 2
+        assert f"--batch-size must be >= 1, got {size}" in capsys.readouterr().err
+
+
 def test_evaluate_missing_checkpoint_exits_3(workspace, tmp_path, capsys):
     assert main(["evaluate", str(tmp_path / "no.kge"),
                  "--data", str(workspace["data"])]) == 3

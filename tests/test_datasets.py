@@ -250,9 +250,10 @@ def test_filter_index_matches_linear_scan():
                       for _, r, t in queries]
             want_c = [any(np.array_equal(row, q) for row in allt) for q in queries]
             for i, (h, r, t) in enumerate(queries):
-                assert idx.tails(h, r).tolist() == want_t[i]
-                assert idx.heads(r, t).tolist() == want_h[i]
-                assert idx.contains(h, r, t) == want_c[i]
+                tails = idx.completions("tail", [h], [r])[1]
+                assert tails.tolist() == want_t[i]
+                assert idx.completions("head", [r], [t])[1].tolist() == want_h[i]
+                assert (t in tails) == want_c[i]
             # batched queries: one (row, entity) pair per known completion
             rows, tails = idx.completions("tail", queries[:, 0], queries[:, 1])
             assert list(zip(rows.tolist(), tails.tolist())) == [
@@ -260,7 +261,9 @@ def test_filter_index_matches_linear_scan():
             rows, heads = idx.completions("head", queries[:, 1], queries[:, 2])
             assert list(zip(rows.tolist(), heads.tolist())) == [
                 (i, e) for i, want in enumerate(want_h) for e in want]
-            got = idx.contains(queries[:, 0], queries[:, 1], queries[:, 2])
+            rows, tails = idx.completions("tail", queries[:, 0], queries[:, 1])
+            got = np.zeros(len(queries), dtype=bool)
+            got[rows[tails == queries[rows, 2]]] = True
             assert got.tolist() == want_c
             # the distinct queries with a completion, and how many each has
             for side, query in (("tail", lambda row: (row[0], row[1])),
@@ -270,9 +273,9 @@ def test_filter_index_matches_linear_scan():
                 (a, b), got = idx.groups(side)
                 assert list(zip(a.tolist(), b.tolist(), got.tolist())) == [
                     (*q, n) for q, n in sorted(counts.items())]
-            assert idx.contains(queries[:, 0][:, None], queries[:, 1][:, None],
-                                np.arange(n_e)).tolist() == [
-                [e in want for e in range(n_e)] for want in want_t]
+            known = np.zeros((len(queries), n_e), dtype=bool)
+            known[idx.completions("tail", queries[:, 0], queries[:, 1])] = True
+            assert known.tolist() == [[e in want for e in range(n_e)] for want in want_t]
 
 
 def test_filter_index_respects_split_selection():
@@ -282,8 +285,8 @@ def test_filter_index_respects_split_selection():
     train_only = FilterIndex(s, splits=("train",))
     full = FilterIndex(s)
     a, r = s.entity_to_id["a"], s.relation_to_id["r"]
-    assert train_only.tails(a, r).tolist() == [s.entity_to_id["b"]]
-    assert full.tails(a, r).tolist() == sorted(
+    assert train_only.completions("tail", [a], [r])[1].tolist() == [s.entity_to_id["b"]]
+    assert full.completions("tail", [a], [r])[1].tolist() == sorted(
         s.entity_to_id[x] for x in ("b", "c", "d")
     )
 
@@ -291,9 +294,9 @@ def test_filter_index_respects_split_selection():
 def test_filter_index_misses_return_empty_arrays():
     s = TripleStore.from_labeled_triples([("a", "r", "b")])
     idx = FilterIndex(s)
-    assert idx.tails(1, 0).shape == (0,)
-    assert idx.heads(0, 0).shape == (0,)
-    assert not idx.contains(1, 0, 0)
+    assert idx.completions("tail", [1], [0])[1].shape == (0,)
+    assert idx.completions("head", [0], [0])[1].shape == (0,)
+    assert 0 not in idx.completions("tail", [1], [0])[1]
 
 
 class FeedEvery:

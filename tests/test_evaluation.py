@@ -1,20 +1,28 @@
 """Rank computation against brute-force oracles, tie handling, metrics."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kgembed.datasets import FilterIndex, TripleStore, add_inverse_relations
+from kgembed import evaluation
+from kgembed.datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
 from kgembed.evaluation import (
+    FIRST_CHUNK_ROWS,
     RANK_DEFINITIONS,
+    SIDES,
     RankingResult,
     SideRanks,
     compute_ranks,
     make_validation_callback,
     rank_from_scores,
+    rank_test_split,
 )
-from kgembed.models import InteractionSpec, build_interaction, init_parameters
+from kgembed.models import KINDS, InteractionSpec, build_interaction, init_parameters
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def make_store(rng, E, R, n_train=15, n_eval=6):
@@ -37,21 +45,22 @@ def int_model(rng, E, R, kind="distmult", d=2):
     return model, params
 
 
-def brute_force_side(model, params, store, split, side, filtered, use_inverse=False):
-    fi = FilterIndex(store) if filtered else None
+def brute_force_side(model, params, store, split, side, filtered, use_inverse=False,
+                     splits=SPLITS):
+    fi = FilterIndex(store, splits=splits) if filtered else None
     E = store.num_entities
     R = store.num_base_relations
     opt, pess, cand = [], [], []
     for h, r, t in store.triples[split]:
         if side == "tail":
             scores = np.array([model.score(params, h, r, e) for e in range(E)])
-            target, known = t, (fi.tails(h, r) if filtered else [])
+            target, known = t, (fi.completions("tail", [h], [r])[1] if filtered else [])
         elif use_inverse:
             scores = np.array([model.score(params, t, r + R, e) for e in range(E)])
-            target, known = h, (fi.heads(r, t) if filtered else [])
+            target, known = h, (fi.completions("head", [r], [t])[1] if filtered else [])
         else:
             scores = np.array([model.score(params, e, r, t) for e in range(E)])
-            target, known = h, (fi.heads(r, t) if filtered else [])
+            target, known = h, (fi.completions("head", [r], [t])[1] if filtered else [])
         candidates = [e for e in range(E) if e != target and e not in set(map(int, known))]
         o, p, _ = rank_from_scores(scores[target], scores[candidates])
         opt.append(o)
@@ -129,17 +138,6 @@ def test_ranks_match_brute_force_through_inverse_relations():
         assert np.array_equal(sr.candidates, c)
 
 
-def test_use_inverse_requires_augmented_store():
-    rng = np.random.default_rng(2)
-    store = make_store(rng, 5, 2)
-    model, params = int_model(rng, 5, 2)
-    with pytest.raises(ValueError, match="inverse-augmented"):
-        compute_ranks(model, params, store, use_inverse=True)
-    # and defaults follow the store
-    r1 = compute_ranks(model, params, store, split="valid", filtered=False)
-    assert isinstance(r1, RankingResult)
-
-
 def test_filtering_never_worsens_ranks_and_shrinks_candidates():
     rng = np.random.default_rng(3)
     store = make_store(rng, 10, 3, n_train=40, n_eval=12)
@@ -174,6 +172,116 @@ def test_batch_size_does_not_change_ranks():
     for side in ("head", "tail"):
         assert np.array_equal(a.sides[side].optimistic, b.sides[side].optimistic)
         assert np.array_equal(a.sides[side].pessimistic, b.sides[side].pessimistic)
+
+
+# ---------------------------------------------------------------------------
+# one pass for both filter settings, chunks sized by bytes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def nations():
+    return TripleStore.from_directory(DATA / "nations")
+
+
+def nations_model(store, kind):
+    model = build_interaction(InteractionSpec(kind=kind, num_entities=store.num_entities,
+                                              num_relations=store.num_relations, d_e=16))
+    return model, init_parameters(model, 0)
+
+
+def assert_same_ranks(a, b):
+    assert a.filtered == b.filtered
+    for side in SIDES:
+        for name in ("optimistic", "pessimistic", "candidates"):
+            assert np.array_equal(getattr(a.sides[side], name),
+                                  getattr(b.sides[side], name)), (side, name)
+
+
+def count_scoring_calls(model, monkeypatch):
+    """Rows of every score_tails/score_heads call of `model`, in call order."""
+    rows = []
+    for name in ("score_tails", "score_heads"):
+        method = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda g, P, a, b, method=method:
+                            rows.append(len(a)) or method(g, P, a, b))
+    return rows
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_pass_equals_separate_filtered_and_unfiltered_rankings(nations, kind):
+    model, params = nations_model(nations, kind)
+    fi = FilterIndex(nations)
+    both = compute_ranks(model, params, nations, filtered=(True, False), filter_index=fi)
+    assert len(both) == 2
+    for result, flag in zip(both, (True, False)):
+        assert_same_ranks(result, compute_ranks(model, params, nations, filtered=flag,
+                                                filter_index=fi))
+
+
+def test_rank_test_split_scores_each_chunk_once(nations, monkeypatch):
+    # a one-byte budget keeps every chunk at its first size: 4 chunks per side
+    monkeypatch.setattr(evaluation, "CHUNK_BYTES", 1)
+    model, params = nations_model(nations, "distmult")
+    rows = count_scoring_calls(model, monkeypatch)
+    metrics = rank_test_split(model, params, nations)
+    assert len(rows) == 2 * 4
+    rows.clear()
+    separate = {name: compute_ranks(model, params, nations, filtered=flag).metrics()
+                for name, flag in (("filtered", True), ("unfiltered", False))}
+    assert len(rows) == 2 * 2 * 4
+    assert metrics == separate
+
+
+def test_chunks_are_sized_from_the_bytes_the_chunk_before_held(nations, monkeypatch):
+    model, params = nations_model(nations, "distmult")
+    rows = count_scoring_calls(model, monkeypatch)
+    compute_ranks(model, params, nations)
+    # 64 DistMult rows of 14 entities hold far less than CHUNK_BYTES, so
+    # the second chunk takes the other 137 test triples
+    assert rows == [FIRST_CHUNK_ROWS, 137] * 2
+    rows.clear()
+    monkeypatch.setattr(evaluation, "CHUNK_BYTES", 1)
+    compute_ranks(model, params, nations)
+    assert rows == [64, 64, 64, 9] * 2  # never below the first chunk
+    rows.clear()
+    compute_ranks(model, params, nations, batch_size=100)
+    assert rows == [100, 100, 1] * 2
+
+
+@pytest.mark.parametrize("kind", ["distmult", "conve", "convkb"])
+def test_sized_chunks_rank_like_single_rows(nations, kind):
+    model, params = nations_model(nations, kind)
+    fi = FilterIndex(nations)
+    sized = compute_ranks(model, params, nations, filtered=(True, False), filter_index=fi)
+    single = compute_ranks(model, params, nations, filtered=(True, False), filter_index=fi,
+                           batch_size=1)
+    for a, b in zip(sized, single):
+        assert_same_ranks(a, b)
+
+
+@pytest.mark.parametrize("kind", ["conve", "convkb"])
+def test_sized_chunks_hold_no_more_than_64_rows(nations, kind):
+    # their rows·E·channels intermediates pass CHUNK_BYTES at 64 rows, so
+    # the sized default stays at the first chunk's size; Python's own small
+    # allocations move the peak of two identical calls by up to a few KiB
+    model, params = nations_model(nations, kind)
+    fi = FilterIndex(nations)
+    compute_ranks(model, params, nations, filter_index=fi)  # warm-up
+    peaks = []
+    for batch_size in (None, 64):
+        tracemalloc.start()
+        try:
+            compute_ranks(model, params, nations, filter_index=fi, batch_size=batch_size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + 16 * 1024
+
+
+def test_batch_size_must_be_positive(nations):
+    model, params = nations_model(nations, "distmult")
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        compute_ranks(model, params, nations, batch_size=0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +324,9 @@ def test_get_accessor_and_single_side_selection():
     rng = np.random.default_rng(8)
     store = make_store(rng, 6, 2)
     model, params = int_model(rng, 6, 2)
-    res = compute_ranks(model, params, store, split="valid", sides=("tail",))
+    full = compute_ranks(model, params, store, split="valid")
+    assert full.get("mr", side="head") == full.metrics()["head"]["realistic"]["mr"]
+    res = RankingResult({"tail": full.sides["tail"]}, "valid", True)
     assert res.side_names() == ["tail"]
     assert res.get("mr", side="tail", definition="optimistic") == res.metrics()["tail"]["optimistic"]["mr"]
     with pytest.raises(KeyError):
@@ -262,12 +372,16 @@ def test_given_filter_index_is_used_and_matches_a_fresh_build():
         for name in ("optimistic", "pessimistic", "candidates"):
             assert np.array_equal(getattr(fresh.sides[side], name),
                                   getattr(shared.sides[side], name))
-    # the given index wins over filter_splits: a train-only index filters less
+    # a train-only index filters only the training triples
     train_only = compute_ranks(model, params, store, split="test",
                                filter_index=FilterIndex(store, splits=("train",)))
-    want = compute_ranks(model, params, store, split="test", filter_splits=("train",))
-    assert np.array_equal(train_only.sides["tail"].candidates,
-                          want.sides["tail"].candidates)
+    for side in ("head", "tail"):
+        want = brute_force_side(model, params, store, "test", side, True,
+                                splits=("train",))
+        sr = train_only.sides[side]
+        assert np.array_equal(sr.optimistic, want[0])
+        assert np.array_equal(sr.pessimistic, want[1])
+        assert np.array_equal(sr.candidates, want[2])
 
 
 def test_validation_callback_builds_its_filter_index_once(monkeypatch):
