@@ -15,8 +15,8 @@ from .evaluation import (RankingResult, compute_ranks,
                          make_validation_callback, rank_from_scores)
 from .hpo import (Budget, SearchSpace, StudyError, StudyResult, TrialRecord,
                   random_search, sample_config)
-from .losses import (LossSpec, cel_loss, lcwa_loss, nssal_loss,
-                     pairwise_loss, pointwise_loss, slcwa_loss)
+from .losses import (LossSpec, batch_loss, cel_loss, nssal_loss,
+                     pairwise_loss, pointwise_loss)
 from .models import (KINDS, InteractionSpec, build_interaction,
                      init_parameters, load_checkpoint, parameter_count,
                      save_checkpoint)
@@ -37,8 +37,8 @@ __all__ = [
     "rank_from_scores",
     "Budget", "SearchSpace", "StudyError", "StudyResult", "TrialRecord",
     "random_search", "sample_config",
-    "LossSpec", "cel_loss", "lcwa_loss", "nssal_loss", "pairwise_loss",
-    "pointwise_loss", "slcwa_loss",
+    "LossSpec", "batch_loss", "cel_loss", "nssal_loss", "pairwise_loss",
+    "pointwise_loss",
     "KINDS", "InteractionSpec", "build_interaction", "init_parameters",
     "load_checkpoint", "parameter_count", "save_checkpoint",
     "ConfigError", "DataError", "execute_run", "load_config",

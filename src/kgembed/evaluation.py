@@ -151,10 +151,10 @@ def _score_matrix(g, model, params, side, triples, store):
     P = model.leaves(g, params, trainable=False)
     h, r, t = triples.T
     if side == "tail":
-        return model.score_tails(g, P, h, r).value
+        return model.score_triples(g, P, h, r, None).value
     if store.inverse_augmented:
-        return model.score_tails(g, P, t, r + store.num_base_relations).value
-    return model.score_heads(g, P, r, t).value
+        return model.score_triples(g, P, t, r + store.num_base_relations, None).value
+    return model.score_triples(g, P, None, r, t).value
 
 
 def compute_ranks(model, params, store, split="test", *, filtered=True,

@@ -33,13 +33,13 @@ import numpy as np
 
 from .datasets import add_inverse_relations
 from .evaluation import STOPPER_METRICS, rank_test_split
-from .losses import LOSS_CHECKS
+from .losses import LOSS_CHECKS, loss_problem
 from .models import InteractionSpec
-from .pipeline import build_model, train_run
+from .pipeline import DataError, build_model, train_run
 from .sampling import derive_seed, rng_for
 from .settings import require
 from .training import (APPROACHES, OPTIMIZER_CHECKS, OPTIMIZERS, TRAINING_CHECKS,
-                       TrainingConfig, loss_problem)
+                       TrainingConfig)
 
 log = logging.getLogger(__name__)
 
@@ -312,10 +312,13 @@ def _load_records(path):
     records = {}
     if path and os.path.exists(path):
         with open(path, "r", encoding="utf-8") as f:
-            for line in f:
+            for number, line in enumerate(f, 1):
                 line = line.strip()
                 if line:
-                    rec = TrialRecord.from_json(json.loads(line))
+                    try:
+                        rec = TrialRecord.from_json(json.loads(line))
+                    except (json.JSONDecodeError, TypeError) as e:
+                        raise DataError(f"{path}, line {number}: not a trial record: {e}")
                     records[rec.trial_id] = rec  # last write per id wins
     return records
 
@@ -325,7 +328,10 @@ def _check_manifest(path, manifest):
         return
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as f:
-            existing = json.load(f)
+            try:
+                existing = json.load(f)
+            except json.JSONDecodeError as e:
+                raise DataError(f"{path}: not a study manifest: {e}")
         if existing != manifest:
             raise StudyError(
                 f"{path} belongs to a different study; "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .settings import check_fields, positive
+from .settings import check_fields, positive, require
 
 POINTWISE_KINDS = ("square_error", "bcel", "spl", "pointwise_hinge")
 PAIRWISE_KINDS = ("mrl", "pairwise_logistic")
@@ -138,33 +138,34 @@ def cel_loss(g, spec, scores, labels):
     return g.softmax_xent(scores, labels).mean()
 
 
-def slcwa_loss(g, spec, pos_scores, neg_scores):
-    """Dispatch for the negative-sampling training approach.
+def loss_problem(approach, kind):
+    """Why a loss kind cannot be trained under an approach; None when it can."""
+    if approach == "lcwa" and kind in SLCWA_KINDS and kind not in LCWA_KINDS:
+        return (f"{kind!r} needs sampled negative pairs and cannot be trained "
+                "with the lcwa approach")
+    if approach == "slcwa" and kind == "cel":
+        return "'cel' normalizes over all entities and requires the lcwa approach"
+    return None
 
-    pos_scores: (B,) node; neg_scores: (B, K) node. Pointwise kinds see the
-    positives with label 1 and the negatives with label 0, averaged over all
-    B * (K + 1) scored triples.
+
+def batch_loss(g, spec, scores, labels=None):
+    """The loss of one training batch under either approach.
+
+    Without labels, scores is the (B, 1 + K) node of the negative-sampling
+    step: column 0 holds each positive and the other columns its negatives.
+    Pointwise kinds read it against the label row [1, 0, ..., 0], averaged
+    over all B * (1 + K) scored triples; pairwise kinds and nssal pair column
+    0 with the rest. With labels, scores is the (B, E) node of 1-N scoring
+    and labels its (B, E) array (multi-hot, possibly smoothed; already
+    normalized for the cross entropy).
     """
+    require("loss", loss_problem("slcwa" if labels is None else "lcwa", spec.kind))
     if spec.kind in POINTWISE_KINDS:
-        B, K = neg_scores.shape
-        flat = g.concat([pos_scores, neg_scores.reshape((B * K,))], axis=0)
-        labels = np.concatenate([np.ones(B), np.zeros(B * K)])
-        return pointwise_loss(g, spec, flat, labels)
-    if spec.kind in PAIRWISE_KINDS:
-        return pairwise_loss(g, spec, pos_scores, neg_scores)
-    if spec.kind == "nssal":
-        return nssal_loss(g, spec, pos_scores, neg_scores)
-    raise ValueError(f"loss {spec.kind!r} is not usable with negative sampling")
-
-
-def lcwa_loss(g, spec, scores, labels):
-    """Dispatch for the 1-N training approach.
-
-    scores: (B, E) node; labels: (B, E) array (multi-hot, possibly smoothed;
-    already normalized for the cross entropy).
-    """
-    if spec.kind in POINTWISE_KINDS:
+        labels = np.eye(1, scores.shape[1]) if labels is None else labels
         return pointwise_loss(g, spec, scores, labels)
     if spec.kind == "cel":
         return cel_loss(g, spec, scores, labels)
-    raise ValueError(f"loss {spec.kind!r} is not usable with 1-N scoring")
+    pos, neg = scores[:, 0], scores[:, 1:]
+    if spec.kind == "nssal":
+        return nssal_loss(g, spec, pos, neg)
+    return pairwise_loss(g, spec, pos, neg)

@@ -5,17 +5,17 @@ Every model follows the same conventions:
   * scores are higher-is-better for every kind; distance-based models return
     negated distances, and models with a probabilistic reading return the
     logit, never a sigmoid
-  * score_triples builds graph nodes for a batch of id triples, so the same
-    code path serves training (with gradients) and evaluation (without);
-    it takes (B,) ids, or (B, N) h and t ids whose row b shares the relation
-    r_ids[b] and returns (B, N) scores, as the sLCWA step scores a positive
-    with its negatives
-  * score_tails / score_heads return a (batch, num_entities) score matrix and
-    must agree with the scalar path to 1e-10
+  * score_triples is the one scoring method: it builds graph nodes for a
+    batch of id triples, so the same code serves training (with gradients)
+    and evaluation (without). It takes (B,) ids, or (B, N) h and t ids whose
+    row b shares the relation r_ids[b] and returns (B, N) scores, as the
+    sLCWA step scores a positive with its negatives. With h_ids or t_ids
+    None it scores every entity on that side and returns (B, E) scores,
+    which must agree with the single-triple scores to 1e-10
 
 Each model states its parameter shapes once, in `tensor_specs`, from which
 initialization, checkpoints and `parameter_count` follow, and its score
-once, from which the base classes derive all three paths. A model names the
+once, from which the base classes derive score_triples. A model names the
 tables it reads (`entity_tables`, `relation_tables`) and either defines
 `interaction(g, P, h, r, t)` over representations shaped (B, N, ...) that
 broadcast against each other (N = 1 for single triples, E for the candidate
@@ -254,7 +254,7 @@ def _row_width(P, names):
 
 
 class Interaction:
-    """Base class: the three scoring paths of one broadcasting score.
+    """Base class: score_triples of one broadcasting score.
 
     `interaction(g, P, h, r, t)` returns the (B, N) scores of (B, N, ...)
     representations: (B, 1, ...) rows of the id triples, or (1, E, ...)
@@ -300,52 +300,41 @@ class Interaction:
         return _rows(g, P, self.relation_tables, ids)
 
     def _triples(self, g, P, h_ids, r_ids, t_ids):
-        """The (h, r, t) rows of id triples: (B,) ids, or (B, N) h and t ids
-        whose row b shares the relation r_ids[b]."""
-        h_ids = _grid(h_ids)
-        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids, h_ids.shape[1])
+        """The (h, r, t) representations of id triples: rows at (B,) ids, or
+        at (B, N) h and t ids whose row b shares the relation r_ids[b]; a
+        side whose ids are None is every entity, as (1, E, ...) views."""
+        n = 1 if h_ids is None or t_ids is None else _grid(h_ids).shape[1]
+        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids, n)
         return h, r, self._entities(g, P, t_ids)
 
     def score_triples(self, g, P, h_ids, r_ids, t_ids):
-        """(B,) scores of (B,) id triples, or the (B, N) scores of (B, N) h
-        and t ids with (B,) r ids, as a graph node."""
-        h, r, t = self._triples(g, P, h_ids, r_ids, t_ids)
-        return self.interaction(g, P, h, r, t).reshape(np.shape(h_ids))
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        """(B, E) scores for every candidate tail."""
-        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)
-        return self.interaction(g, P, h, r, self._entities(g, P))
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        """(B, E) scores for every candidate head."""
-        r, t = self._relations(g, P, r_ids), self._entities(g, P, t_ids)
-        return self.interaction(g, P, self._entities(g, P), r, t)
+        """Scores of id triples as a graph node: (B,) for (B,) ids, (B, N)
+        for (B, N) h and t ids with (B,) r ids, and (B, E) when h_ids or
+        t_ids is None, which scores every entity on that side."""
+        s = self.interaction(g, P, *self._triples(g, P, h_ids, r_ids, t_ids))
+        return s if h_ids is None or t_ids is None else s.reshape(np.shape(h_ids))
 
     # ----- numpy conveniences (no gradients) --------------------------------
 
+    def _values(self, params, h_ids, r_ids, t_ids):
+        """score_triples as an array, in a graph that records no gradients."""
+        g = Graph()
+        P = self.leaves(g, params, trainable=False)
+        return self.score_triples(g, P, h_ids, r_ids, t_ids).value
+
     def score(self, params, h, r, t):
         """Plausibility of one id triple as a float; higher is better."""
-        g = Graph()
-        P = self.leaves(g, params, trainable=False)
-        return float(self.score_triples(g, P, [h], [r], [t]).value[0])
+        return float(self._values(params, [h], [r], [t])[0])
 
     def score_batch(self, params, triples):
-        g = Graph()
-        P = self.leaves(g, params, trainable=False)
-        triples = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
-        return self.score_triples(g, P, triples[:, 0], triples[:, 1], triples[:, 2]).value
+        return self._values(params, *np.asarray(triples, dtype=np.intp).reshape(-1, 3).T)
 
     def score_all_tails(self, params, h, r):
         """Scores of (h, r, e) for every entity e, as an (E,) array."""
-        g = Graph()
-        P = self.leaves(g, params, trainable=False)
-        return self.score_tails(g, P, [h], [r]).value[0]
+        return self._values(params, [h], [r], None)[0]
 
     def score_all_heads(self, params, r, t):
-        g = Graph()
-        P = self.leaves(g, params, trainable=False)
-        return self.score_heads(g, P, [r], [t]).value[0]
+        return self._values(params, None, [r], [t])[0]
 
 
 class ContextInteraction(Interaction):
@@ -356,9 +345,9 @@ class ContextInteraction(Interaction):
     t)` with score(e, r, t) = <head_query, k(e)> + c, and optionally
     `keys(g, P, e)`, the entity representation itself by default. A query is
     a (B, N, d') node, or a pair (query, c) whose c broadcasts to (B, N).
-    `entity_bias` names an (E,) table added to each candidate tail's score.
-    Without a head query, the head side scores the tail query of every
-    candidate head.
+    `entity_bias` names an (E,) table added to each candidate tail's score;
+    a model with one defines no head query. Without a head query, the head
+    side scores the tail query of every candidate head.
     """
 
     entity_bias = None
@@ -368,10 +357,10 @@ class ContextInteraction(Interaction):
         return e
 
     def _scores(self, g, P, query, t=None, t_ids=None):
-        """(B, N) scores of a query against the keys of (B, N) tails t, or
-        with t None, against every entity's keys in one matmul."""
+        """(B, N) scores of a query against the keys of the tails t at (B, N)
+        t_ids, or with t_ids None, against every entity's keys in one matmul."""
         q, c = query if isinstance(query, tuple) else (query, None)
-        if t is None:
+        if t_ids is None:
             # the (E, ...) tables themselves, not (1, E, ...) views, and no
             # transpose node: the planned matmul reads the table in place
             # and its gradient comes back C-contiguous
@@ -387,19 +376,16 @@ class ContextInteraction(Interaction):
         return s
 
     def score_triples(self, g, P, h_ids, r_ids, t_ids):
+        # an all-entity side read by the one matmul needs no (1, E, ...) view
+        if t_ids is None:
+            h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)
+            return self._scores(g, P, self.tail_query(g, P, h, r))
+        if h_ids is None and self.head_query is not None:
+            r, t = self._relations(g, P, r_ids), self._entities(g, P, t_ids)
+            return self._scores(g, P, self.head_query(g, P, r, t))
         h, r, t = self._triples(g, P, h_ids, r_ids, t_ids)
-        return self._scores(g, P, self.tail_query(g, P, h, r), t, t_ids).reshape(np.shape(h_ids))
-
-    def score_tails(self, g, P, h_ids, r_ids):
-        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)
-        return self._scores(g, P, self.tail_query(g, P, h, r))
-
-    def score_heads(self, g, P, r_ids, t_ids):
-        r, t = self._relations(g, P, r_ids), self._entities(g, P, t_ids)
-        if self.head_query is None:
-            query = self.tail_query(g, P, self._entities(g, P), r)
-            return self._scores(g, P, query, t, t_ids)
-        return self._scores(g, P, self.head_query(g, P, r, t), t_ids=t_ids)
+        s = self._scores(g, P, self.tail_query(g, P, h, r), t, t_ids)
+        return s if h_ids is None else s.reshape(np.shape(h_ids))
 
 
 # ---------------------------------------------------------------------------

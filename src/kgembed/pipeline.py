@@ -36,14 +36,13 @@ import numpy as np
 from .autodiff import keep_heap
 from .datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
 from .evaluation import STOPPER_METRICS, make_validation_callback, rank_test_split
-from .losses import LOSS_CHECKS, LossSpec
+from .losses import LOSS_CHECKS, LossSpec, loss_problem
 from .models import (KINDS as MODEL_KINDS, InteractionSpec, build_interaction,
                      init_parameters, save_checkpoint)
 from .sampling import derive_seed
 from .settings import at_least, one_of
 from .training import (OPTIMIZER_CHECKS, TRAINING_CHECKS, OptimizerSpec,
-                       TrainingConfig, loss_problem, patience_problem, train,
-                       utc_timestamp)
+                       TrainingConfig, patience_problem, train, utc_timestamp)
 
 log = logging.getLogger(__name__)
 

@@ -22,8 +22,16 @@ import zlib
 import numpy as np
 
 from .datasets import FilterIndex, relation_stats
+from .settings import one_of, require
 
 SAMPLERS = ("uniform", "bernoulli")
+
+# the value check of each sampling setting (see settings); training's
+# TRAINING_CHECKS holds this table too
+SAMPLING_CHECKS = {
+    "sampler": one_of(*SAMPLERS),
+    "label_smoothing": lambda v: None if 0 <= v < 1 else "must lie in [0, 1)",
+}
 
 
 def derive_seed(master, stage):
@@ -52,8 +60,7 @@ class NegativeSampler:
     MAX_REDRAWS = 20
 
     def __init__(self, store, kind="uniform", filtered=False, filter_index=None):
-        if kind not in SAMPLERS:
-            raise ValueError(f"unknown sampler kind {kind!r}")
+        require("sampler", SAMPLING_CHECKS["sampler"](kind))
         self.kind = kind
         self.num_entities = store.num_entities
         self.filtered = filtered
@@ -126,8 +133,7 @@ class LCWATask:
         multi-hot {0, 1} rows at epsilon 0, and exactly smooth_labels of
         those rows otherwise.
         """
-        if not 0.0 <= epsilon < 1.0:
-            raise ValueError("label smoothing must be in [0, 1)")
+        require("label_smoothing", SAMPLING_CHECKS["label_smoothing"](epsilon))
         pairs = self.pairs[np.asarray(indices, dtype=np.intp)]
         labels = np.full((pairs.shape[0], self.num_entities),
                          epsilon / (self.num_entities - 1) if epsilon > 0.0 else 0.0)
@@ -143,8 +149,7 @@ def smooth_labels(labels, epsilon, num_entities, normalize=False):
     cross entropy requires a distribution, so rows are normalized even when
     epsilon is 0.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("label smoothing must be in [0, 1)")
+    require("label_smoothing", SAMPLING_CHECKS["label_smoothing"](epsilon))
     out = np.asarray(labels, dtype=np.float64)
     if epsilon > 0.0:
         out = out * (1.0 - epsilon) + (1.0 - out) * (epsilon / (num_entities - 1))

@@ -18,9 +18,9 @@ import numpy as np
 
 from .autodiff import Graph, keep_heap
 from .datasets import FilterIndex
-from .losses import LossSpec, slcwa_loss, lcwa_loss, SLCWA_KINDS, LCWA_KINDS
+from .losses import LossSpec, batch_loss, loss_problem
 from .models import MAX_WIDTH
-from .sampling import (SAMPLERS, NegativeSampler, LCWATask, slcwa_batches,
+from .sampling import (SAMPLING_CHECKS, NegativeSampler, LCWATask, slcwa_batches,
                        lcwa_batches, rng_for)
 from .settings import at_least, check_fields, one_of, positive, require
 
@@ -153,22 +153,11 @@ TRAINING_CHECKS = {
     "num_epochs": at_least(1),
     "num_negatives": lambda v: None if 1 <= v <= MAX_WIDTH
                      else f"must lie in [1, {MAX_WIDTH}]",
-    "sampler": one_of(*SAMPLERS),
-    "label_smoothing": lambda v: None if 0 <= v < 1 else "must lie in [0, 1)",
+    **SAMPLING_CHECKS,
     "seed": at_least(0),
     "eval_frequency": at_least(1),
     "patience": at_least(1),
 }
-
-
-def loss_problem(approach, kind):
-    """Why a loss kind cannot be trained under an approach; None when it can."""
-    if approach == "lcwa" and kind in SLCWA_KINDS and kind not in LCWA_KINDS:
-        return (f"{kind!r} needs sampled negative pairs and cannot be trained "
-                "with the lcwa approach")
-    if approach == "slcwa" and kind == "cel":
-        return "'cel' normalizes over all entities and requires the lcwa approach"
-    return None
 
 
 def patience_problem(frequency, patience):
@@ -210,56 +199,49 @@ def _finite(grads):
     return all(np.all(np.isfinite(v)) for v in grads.values())
 
 
+def _slcwa_blocks(store, config, rng, sampler):
+    """An epoch's (h, r, t, labels) sLCWA batches: (B, 1 + K) h and t ids,
+    column 0 the positives and the rest their negatives, and the (B,)
+    relation ids each row shares, as the sampler replaces only h or t."""
+    for pos in slcwa_batches(store, config.batch_size, rng):
+        neg = sampler.corrupt(rng, pos, config.num_negatives)
+        h, t = (np.concatenate([pos[:, None, i], neg[:, :, i]], axis=1) for i in (0, 2))
+        yield h, pos[:, 1], t, None
+
+
+def _step(model, params, spec, optimizer, h, r, t, labels):
+    """One optimizer step on one batch: its loss, or None when skipped. A
+    function of its own, so that its graph is freed before the next batch."""
+    g = Graph()
+    P = model.leaves(g, params, trainable=True)
+    loss = batch_loss(g, spec, _clamped(g, model, model.score_triples(g, P, h, r, t)), labels)
+    g.backward(loss)
+    grads = {k: node.grad for k, node in P.items() if node.grad is not None}
+    if not _finite(grads) or not np.isfinite(loss.value):
+        log.warning("skipping optimizer step: non-finite gradient or loss")
+        return None
+    optimizer.step(params, grads)
+    model.project_parameters(params)
+    return float(loss.value)
+
+
 def train_epoch(model, params, store, config, optimizer, rng, sampler=None, task=None):
-    """One pass over the training split. Returns (mean loss, skipped steps)."""
-    losses = []
-    skipped = 0
-
-    def run_step(build):
-        nonlocal skipped
-        g = Graph()
-        P = model.leaves(g, params, trainable=True)
-        loss = build(g, P)
-        g.backward(loss)
-        grads = {k: node.grad for k, node in P.items() if node.grad is not None}
-        if not _finite(grads) or not np.isfinite(loss.value):
-            skipped += 1
-            log.warning("skipping optimizer step: non-finite gradient or loss")
-            return
-        optimizer.step(params, grads)
-        model.project_parameters(params)
-        losses.append(float(loss.value))
-
+    """One pass over the training split, one score_triples and one
+    batch_loss call per batch. Returns (mean loss, skipped steps)."""
     if config.approach == "slcwa":
-        for pos in slcwa_batches(store, config.batch_size, rng):
-            neg = sampler.corrupt(rng, pos, config.num_negatives)
-            # the sampler replaces only h or t, so a row shares its relation
-            h, t = (np.concatenate([pos[:, None, i], neg[:, :, i]], axis=1) for i in (0, 2))
-
-            def build(g, P, h=h, r=pos[:, 1], t=t):
-                # one (B, 1 + K) call: column 0 the positives, the rest their negatives
-                scores = _clamped(g, model, model.score_triples(g, P, h, r, t))
-                return slcwa_loss(g, config.loss, scores[:, 0], scores[:, 1:])
-
-            run_step(build)
+        batches = _slcwa_blocks(store, config, rng, sampler)
     else:
-        normalize = config.loss.kind == "cel"
-        for h_ids, r_ids, labels in lcwa_batches(
-            task, config.batch_size, rng,
-            epsilon=config.label_smoothing, normalize=normalize,
-        ):
-            def build(g, P, h_ids=h_ids, r_ids=r_ids, labels=labels):
-                scores = _clamped(g, model, model.score_tails(g, P, h_ids, r_ids))
-                return lcwa_loss(g, config.loss, scores, labels)
-
-            run_step(build)
-
+        batches = ((h, r, None, labels) for h, r, labels in lcwa_batches(
+            task, config.batch_size, rng, epsilon=config.label_smoothing,
+            normalize=config.loss.kind == "cel"))
+    steps = [_step(model, params, config.loss, optimizer, *batch) for batch in batches]
+    losses = [loss for loss in steps if loss is not None]
     if not losses:
         raise DivergenceError("every step of the epoch was skipped")
     mean_loss = float(np.mean(losses))
     if not np.isfinite(mean_loss):
         raise DivergenceError(f"epoch loss is not finite: {mean_loss}")
-    return mean_loss, skipped
+    return mean_loss, len(steps) - len(losses)
 
 
 class EarlyStopper:

@@ -29,10 +29,9 @@ from kgembed.evaluation import compute_ranks, rank_from_scores
 from kgembed.hpo import Budget, SearchSpace, random_search
 from kgembed.losses import (
     LossSpec,
+    batch_loss,
     cel_loss,
-    lcwa_loss,
     pointwise_loss,
-    slcwa_loss,
 )
 from kgembed.models import (
     KINDS,
@@ -212,16 +211,17 @@ LOSS_KINDS = ("square_error", "bcel", "spl", "pointwise_hinge",
 
 def _fd_loss_kind(kind, points, step=1e-4):
     # pointwise and cel losses see a (rows, entities) score block; pairwise
-    # and self-adversarial ones see a positive vector plus its negatives.
-    # nssal detaches its softmax weights, so the finite-difference oracle is
-    # the same expression with the weights frozen at the base point.
+    # ones see the (B, 1 + K) block of positives and their negatives. nssal
+    # detaches its softmax weights, so the finite-difference oracle is the
+    # same expression with the weights frozen at the base point, over a
+    # positive vector plus its negatives.
     spec = LossSpec(kind, margin=0.75, adversarial_temperature=0.8)
     rng = np.random.default_rng(2000 + LOSS_KINDS.index(kind))
     labels = rng.integers(0, 2, size=(5, 7)).astype(float)
     labels[:, 0] = 1.0
     if kind == "cel":
         labels = labels / labels.sum(axis=1, keepdims=True)
-    pairwise = kind in ("mrl", "pairwise_logistic", "nssal")
+    pairwise = kind in ("mrl", "pairwise_logistic")
 
     def builder(leaves):
         if kind == "nssal":
@@ -232,17 +232,19 @@ def _fd_loss_kind(kind, points, step=1e-4):
                 neg = (g.constant(w) * g.softplus(spec.margin + n)).sum(axis=1)
                 return (pos + neg).mean()
         elif pairwise:
-            def build(g, p, n):
-                return slcwa_loss(g, spec, p, n)
+            def build(g, block):
+                return batch_loss(g, spec, block)
         else:
             def build(g, s):
-                return lcwa_loss(g, spec, s, labels)
+                return batch_loss(g, spec, s, labels)
         return build
 
     worst = 0.0
     for _ in range(points):
-        if pairwise:
+        if kind == "nssal":
             leaves = [rng.normal(0, 2, 6), rng.normal(0, 2, (6, 4))]
+        elif pairwise:
+            leaves = [rng.normal(0, 2, (6, 5))]
         else:
             leaves = [rng.normal(0, 2, (5, 7))]
         for _ in range(30):

@@ -710,8 +710,8 @@ def test_op_table_holds_exactly_the_ops_models_and_losses_reach():
         model = models.build_interaction(spec)
         params = models.init_parameters(model, 0)
         paths = (lambda g, P: model.score_triples(g, P, h, r, t),
-                 lambda g, P: model.score_tails(g, P, h, r),
-                 lambda g, P: model.score_heads(g, P, r, t))
+                 lambda g, P: model.score_triples(g, P, h, r, None),
+                 lambda g, P: model.score_triples(g, P, None, r, t))
         for path in paths:
             run(lambda g: path(g, model.leaves(g, params)).sum())
         if model.score_clamp is not None:
@@ -719,12 +719,12 @@ def test_op_table_holds_exactly_the_ops_models_and_losses_reach():
                 g, model, model.score_triples(g, model.leaves(g, params), h, r, t)).sum())
 
     rng = rng_seq(18)
-    pos, neg, scores = rng.normal(size=3), rng.normal(size=(3, 4)), rng.normal(size=(3, 5))
+    block, scores = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
     labels = np.eye(5)[[0, 2, 4]]
     for kind in losses.SLCWA_KINDS:
-        run(lambda g: losses.slcwa_loss(g, losses.LossSpec(kind), g.leaf(pos), g.leaf(neg)))
+        run(lambda g: losses.batch_loss(g, losses.LossSpec(kind), g.leaf(block)))
     for kind in losses.LCWA_KINDS:
-        run(lambda g: losses.lcwa_loss(g, losses.LossSpec(kind), g.leaf(scores), labels))
+        run(lambda g: losses.batch_loss(g, losses.LossSpec(kind), g.leaf(scores), labels))
 
     assert reached == set(_FORWARD) == set(_VJP)
 
@@ -747,8 +747,8 @@ def _model_graphs():
         params = models.init_parameters(model, 0)
         for path in (lambda g, P: model.score_triples(g, P, h, r, t),
                      lambda g, P: model.score_triples(g, P, grid_h, r, grid_t),
-                     lambda g, P: model.score_tails(g, P, h, r),
-                     lambda g, P: model.score_heads(g, P, r, t)):
+                     lambda g, P: model.score_triples(g, P, h, r, None),
+                     lambda g, P: model.score_triples(g, P, None, r, t)):
             g = Graph()
             g.backward(path(g, model.leaves(g, params)).sum())
             yield g
@@ -840,8 +840,8 @@ def test_all_entity_step_copies_no_entity_table():
     params = models.init_parameters(model, 0)
     g = Graph()
     P = model.leaves(g, params)
-    scores = model.score_tails(g, P, [0, 3, 5], [1, 0, 1])
-    g.backward(losses.lcwa_loss(g, losses.LossSpec("cel"), scores, np.eye(9)[[1, 2, 3]]))
+    scores = model.score_triples(g, P, [0, 3, 5], [1, 0, 1], None)
+    g.backward(losses.batch_loss(g, losses.LossSpec("cel"), scores, np.eye(9)[[1, 2, 3]]))
     assert "transpose" not in {node.op for node in g.nodes}
     grad = P["entity"].grad
     assert grad.flags.c_contiguous and grad.base is None

@@ -526,6 +526,29 @@ def test_hpo_all_trials_failing_exits_4(workspace, tmp_path, capsys):
     assert "runtime error: no trial completed" in capsys.readouterr().err
 
 
+RECORD = {"trial_id": 0, "config": {}, "seed": 1, "status": "failed", "metric": None,
+          "best_epoch": None, "epochs_run": 0, "wall_seconds": 0.1, "error": "boom"}
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("manifest.json", '{"space": {', "manifest.json: not a study manifest"),
+    ("trials.jsonl", json.dumps(RECORD) + '\n{"trial_id": 1, "conf',
+     "trials.jsonl, line 2: not a trial record"),
+    ("trials.jsonl", json.dumps(dict(RECORD, surprise=1)) + "\n",
+     "trials.jsonl, line 1: not a trial record"),
+], ids=["manifest-malformed", "trials-cut-line", "trials-unknown-key"])
+def test_hpo_damaged_state_file_exits_3(workspace, tmp_path, capsys, name, text, message):
+    # resuming from a damaged study directory is a data error, not a traceback
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / name).write_text(text)
+    p = tmp_path / "study.json"
+    p.write_text(json.dumps(study_doc(workspace["data"], out)))
+    assert main(["hpo", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err, err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

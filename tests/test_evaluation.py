@@ -198,12 +198,11 @@ def assert_same_ranks(a, b):
 
 
 def count_scoring_calls(model, monkeypatch):
-    """Rows of every score_tails/score_heads call of `model`, in call order."""
+    """Rows of every score_triples call of `model`, in call order."""
     rows = []
-    for name in ("score_tails", "score_heads"):
-        method = getattr(model, name)
-        monkeypatch.setattr(model, name, lambda g, P, a, b, method=method:
-                            rows.append(len(a)) or method(g, P, a, b))
+    method = model.score_triples
+    monkeypatch.setattr(model, "score_triples", lambda g, P, h, r, t:
+                        rows.append(len(r)) or method(g, P, h, r, t))
     return rows
 
 

@@ -14,12 +14,11 @@ from kgembed.losses import (
     POINTWISE_KINDS,
     SLCWA_KINDS,
     LossSpec,
+    batch_loss,
     cel_loss,
-    lcwa_loss,
     nssal_loss,
     pairwise_loss,
     pointwise_loss,
-    slcwa_loss,
 )
 
 
@@ -276,12 +275,14 @@ def test_cel_invariant_to_score_shift():
 # ---------------------------------------------------------------------------
 
 def test_slcwa_pointwise_flattens_positives_and_negatives():
+    # the (B, 1 + K) block against the label row [1, 0, ..., 0]: the mean
+    # over every positive and every negative
     rng = np.random.default_rng(7)
     pos = rng.normal(size=3)
     neg = rng.normal(size=(3, 4))
     spec = LossSpec("bcel")
     g = Graph()
-    got = slcwa_loss(g, spec, node(g, pos), node(g, neg))
+    got = batch_loss(g, spec, node(g, np.column_stack([pos, neg])))
     want = np.mean(
         np.concatenate([softplus(-pos), softplus(neg).ravel()])
     )
@@ -290,11 +291,10 @@ def test_slcwa_pointwise_flattens_positives_and_negatives():
 
 def test_slcwa_dispatch_covers_all_its_kinds():
     rng = np.random.default_rng(8)
-    pos = rng.normal(size=4)
-    neg = rng.normal(size=(4, 3))
+    block = rng.normal(size=(4, 4))
     for kind in SLCWA_KINDS:
         g = Graph()
-        loss = slcwa_loss(g, LossSpec(kind), node(g, pos), node(g, neg))
+        loss = batch_loss(g, LossSpec(kind), node(g, block))
         assert loss.value.shape == ()
         assert np.isfinite(loss.value)
 
@@ -306,33 +306,29 @@ def test_lcwa_dispatch_covers_all_its_kinds():
     labels[np.arange(4), [0, 2, 3, 5]] = 1.0
     for kind in LCWA_KINDS:
         g = Graph()
-        loss = lcwa_loss(g, LossSpec(kind), node(g, scores), labels)
+        loss = batch_loss(g, LossSpec(kind), node(g, scores), labels)
         assert loss.value.shape == ()
         assert np.isfinite(loss.value)
 
 
 def test_dispatch_rejects_mismatched_kinds():
     g = Graph()
-    with pytest.raises(ValueError, match="negative sampling"):
-        slcwa_loss(g, LossSpec("cel"), node(g, [1.0]), node(g, [[0.0]]))
-    with pytest.raises(ValueError, match="1-N"):
-        lcwa_loss(g, LossSpec("mrl"), node(g, [[1.0]]), [[1.0]])
-    with pytest.raises(ValueError, match="1-N"):
-        lcwa_loss(g, LossSpec("nssal"), node(g, [[1.0]]), [[1.0]])
+    with pytest.raises(ValueError, match="loss: 'cel' normalizes over all entities"):
+        batch_loss(g, LossSpec("cel"), node(g, [[1.0, 0.0]]))
+    for kind in ("mrl", "nssal"):
+        with pytest.raises(ValueError, match=f"loss: '{kind}' needs sampled negative pairs"):
+            batch_loss(g, LossSpec(kind), node(g, [[1.0]]), [[1.0]])
 
 
 def test_losses_are_mean_reduced():
     # doubling the batch by duplication must not change any loss value
     rng = np.random.default_rng(10)
-    pos = rng.normal(size=5)
-    neg = rng.normal(size=(5, 3))
+    block = rng.normal(size=(5, 4))
     for kind in SLCWA_KINDS:
         spec = LossSpec(kind, margin=1.5)
         g1, g2 = Graph(), Graph()
-        once = slcwa_loss(g1, spec, node(g1, pos), node(g1, neg)).value
-        twice = slcwa_loss(
-            g2, spec, node(g2, np.tile(pos, 2)), node(g2, np.tile(neg, (2, 1)))
-        ).value
+        once = batch_loss(g1, spec, node(g1, block)).value
+        twice = batch_loss(g2, spec, node(g2, np.tile(block, (2, 1)))).value
         assert once == pytest.approx(twice, rel=1e-12), kind
 
 
@@ -357,12 +353,11 @@ def _fd_loss(build, shapes, step=1e-4, tol=1e-4, tries=30, seed=11):
 @pytest.mark.parametrize("kind", [k for k in SLCWA_KINDS if k != "nssal"])
 def test_slcwa_loss_gradients(kind):
     spec = LossSpec(kind, margin=1.25, adversarial_temperature=0.8)
-    labels_shapes = [(6,), (6, 4)]
 
-    def build(g, pos, neg):
-        return slcwa_loss(g, spec, pos, neg)
+    def build(g, block):
+        return batch_loss(g, spec, block)
 
-    _fd_loss(build, labels_shapes)
+    _fd_loss(build, [(6, 5)])
 
 
 def test_nssal_gradients_match_frozen_weight_finite_differences():
@@ -382,15 +377,15 @@ def test_nssal_gradients_match_frozen_weight_finite_differences():
 
     # the surrogate is the same function at the base point, value and gradient
     g1, g2 = Graph(), Graph()
-    p1, n1 = g1.leaf(pos), g1.leaf(neg)
+    block = g1.leaf(np.column_stack([pos, neg]))
     p2, n2 = g2.leaf(pos), g2.leaf(neg)
-    real = slcwa_loss(g1, spec, p1, n1)
+    real = batch_loss(g1, spec, block)
     surr = frozen(g2, p2, n2)
     assert surr.value == pytest.approx(real.value, rel=1e-12)
     g1.backward(real)
     g2.backward(surr)
-    assert np.allclose(p1.grad, p2.grad, atol=1e-12)
-    assert np.allclose(n1.grad, n2.grad, atol=1e-12)
+    assert np.allclose(block.grad[:, 0], p2.grad, atol=1e-12)
+    assert np.allclose(block.grad[:, 1:], n2.grad, atol=1e-12)
 
     err = finite_difference_check(frozen, [pos, neg])
     assert err <= 1e-4
@@ -406,6 +401,6 @@ def test_lcwa_loss_gradients(kind):
         labels /= labels.sum(axis=1, keepdims=True)
 
     def build(g, scores):
-        return lcwa_loss(g, spec, scores, labels)
+        return batch_loss(g, spec, scores, labels)
 
     _fd_loss(build, [(5, 7)])

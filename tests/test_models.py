@@ -462,11 +462,11 @@ def test_batched_all_entity_scoring_matches_row_wise(kind, side):
     es, rs = np.array([0, 3, 5, 3]), np.array([0, 1, 2, 2])
     cand = np.arange(E)
     if side == "tails":
-        batch = model.score_tails(g, P, es, rs).value
+        batch = model.score_triples(g, P, es, rs, None).value
         rows = [model.score_all_tails(params, e, r) for e, r in zip(es, rs)]
         triples = [np.stack([np.full(E, e), np.full(E, r), cand], axis=1) for e, r in zip(es, rs)]
     else:
-        batch = model.score_heads(g, P, rs, es).value
+        batch = model.score_triples(g, P, None, rs, es).value
         rows = [model.score_all_heads(params, r, e) for e, r in zip(es, rs)]
         triples = [np.stack([cand, np.full(E, r), np.full(E, e)], axis=1) for e, r in zip(es, rs)]
     assert batch.shape == (len(es), E)
@@ -560,30 +560,32 @@ def test_score_gradients_match_finite_differences(kind):
 @pytest.mark.parametrize("side", ("tails", "heads"))
 @pytest.mark.parametrize("kind", KINDS)
 def test_all_entity_gradients_match_finite_differences(kind, side):
-    # LCWA trains through score_tails; weights make every entry count apart
+    # LCWA trains through the all-tail call; weights make every entry count apart
     es, rs = np.array([0, 3, 6]), np.array([2, 0, 1])
     w = np.random.default_rng(16).normal(size=(len(es), small_spec(kind).num_entities))
 
     def score(model, g, P):
         if side == "tails":
-            return model.score_tails(g, P, es, rs) * w
-        return model.score_heads(g, P, rs, es) * w
+            return model.score_triples(g, P, es, rs, None) * w
+        return model.score_triples(g, P, None, rs, es) * w
 
     err = _fd_error(kind, score)
     assert err <= 1e-4, f"{kind} {side}: fd relative error {err}"
 
 
 def test_models_state_their_score_once():
-    # the three scoring paths live in the two base classes only, so no model
-    # can fork one of them; each model states its score once
+    # score_triples, the one scoring method, lives in the two base classes
+    # only, so no model can fork it; each model states its score once. The
+    # head query meets every key without a tail's entity bias, so no model
+    # has both
     from kgembed.models import _REGISTRY, ContextInteraction, Interaction
 
-    paths = {"score_triples", "score_tails", "score_heads"}
     for cls in _REGISTRY.values():
         for klass in cls.__mro__[:-1]:
             if klass not in (Interaction, ContextInteraction):
-                assert not paths & set(vars(klass)), f"{klass.__name__} defines a scoring path"
+                assert "score_triples" not in vars(klass), f"{klass.__name__} defines score_triples"
         assert "interaction" in vars(cls) or "tail_query" in vars(cls), cls.__name__
+        assert getattr(cls, "entity_bias", None) is None or cls.head_query is None, cls.__name__
 
 
 # ---------------------------------------------------------------------------

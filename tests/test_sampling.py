@@ -62,7 +62,7 @@ def test_rng_for_streams_are_reproducible():
 
 def test_sampler_rejects_unknown_kind_and_missing_filter():
     s = toy_store()
-    with pytest.raises(ValueError, match="unknown sampler kind"):
+    with pytest.raises(ValueError, match="sampler: must be 'uniform' or 'bernoulli'"):
         NegativeSampler(s, kind="importance")
     with pytest.raises(ValueError, match="filter index"):
         NegativeSampler(s, filtered=True)
@@ -418,7 +418,7 @@ def test_lcwa_batches_equal_smoothing_the_label_matrix():
 
 
 def test_smooth_labels_range_check():
-    with pytest.raises(ValueError, match="label smoothing"):
+    with pytest.raises(ValueError, match=r"label_smoothing: must lie in \[0, 1\)"):
         smooth_labels(np.ones((1, 2)), 1.0, 2)
-    with pytest.raises(ValueError, match="label smoothing"):
+    with pytest.raises(ValueError, match=r"label_smoothing: must lie in \[0, 1\)"):
         smooth_labels(np.ones((1, 2)), -0.1, 2)

@@ -263,6 +263,29 @@ def test_lcwa_cel_step_allocation_budget():
     assert peak - baseline <= 5 * B * E * 8, (peak - baseline) / (B * E * 8)
 
 
+def test_pointwise_slcwa_loss_reads_the_score_block(monkeypatch):
+    # one bcel sLCWA step: the loss reads the (B, 1 + K) score node against
+    # the label row [1, 0, ..., 0], so no node slices it or concatenates it
+    # back together on the way to the loss
+    from kgembed.autodiff import Graph
+
+    store, model, params = toy_model()
+    config = TrainingConfig(approach="slcwa", loss=LossSpec("bcel"), batch_size=16,
+                            num_negatives=3)
+    scored, swept = [], []
+    score_triples, backward = model.score_triples, Graph.backward
+    monkeypatch.setattr(model, "score_triples",
+                        lambda *a: scored.append(score_triples(*a)) or scored[-1])
+    monkeypatch.setattr(Graph, "backward",
+                        lambda g, loss: swept.append((g, loss)) or backward(g, loss))
+    train_epoch(model, params, store, config, make_optimizer(config.optimizer, params),
+                rng_for(0, "training"), sampler=NegativeSampler(store))
+    (scores,), ((g, loss),) = scored, swept
+    assert scores.shape == (9, 4)
+    ops = {node.op for node in g.nodes[scores.id + 1 : loss.id + 1]}
+    assert not ops & {"concat", "slice"}, ops
+
+
 def test_epoch_raises_when_everything_diverged():
     store, model, params = toy_model()
     for name in params:
