@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kgembed.datasets import FilterIndex, TripleStore, add_inverse_relations, relation_stats
+from kgembed.datasets import TripleStore, add_inverse_relations, relation_stats
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -39,7 +39,7 @@ print("triple", (h, r, t), "gains inverse", (t, r + store.num_relations, h))
 
 # --- 5. the filter index answers "which completions are known true" --------
 
-fi = FilterIndex(store)
+fi = store.filter_index()  # built once per store and split set, then reused
 h, r, t = (int(v) for v in store.triples["test"][0])
 known = fi.completions("tail", [h], [r])[1]
 print(f"\ntest triple ({h}, {r}, {t}): the filtered setting drops the "

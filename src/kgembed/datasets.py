@@ -73,6 +73,7 @@ class TripleStore:
         self.num_base_relations = (
             num_base_relations if num_base_relations is not None else len(self.relation_to_id)
         )
+        self._filter_indexes = {}  # tuple of splits -> FilterIndex
 
     @property
     def num_entities(self):
@@ -88,6 +89,16 @@ class TripleStore:
     def all_triples(self, splits=SPLITS):
         """Concatenated id triples over the given splits."""
         return np.concatenate([self.triples[s] for s in splits], axis=0)
+
+    def filter_index(self, splits=SPLITS):
+        """The FilterIndex over the given splits, built by the first call and
+        returned by every later one; a store's triples never change after
+        construction. Two threads may both build it on a first call: the
+        builds are equal, and every caller gets the one the store keeps.
+        """
+        splits = tuple(splits)
+        return (self._filter_indexes.get(splits)
+                or self._filter_indexes.setdefault(splits, FilterIndex(self, splits)))
 
     @classmethod
     def from_labeled_triples(cls, train, valid=(), test=()):
@@ -187,11 +198,11 @@ def relation_stats(store, index=None):
     Returns (tph, hpt) as float arrays of length num_relations, counted over
     the distinct training triples. Relations absent from the training split
     fall back to tph = hpt = 1, which makes the Bernoulli corruption
-    probability an even split. A given training-split `index` is reused.
+    probability an even split. index defaults to store.filter_index(("train",)).
     """
     R = store.num_relations
     if index is None:
-        index = FilterIndex(store, splits=("train",))
+        index = store.filter_index(("train",))
     (_, hr_relations), tails_per_hr = index.groups("tail")
     (rt_relations, _), _ = index.groups("head")
     triples = np.bincount(hr_relations, weights=tails_per_hr, minlength=R)

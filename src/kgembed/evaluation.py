@@ -20,14 +20,12 @@ expectation under random scoring, 0.5 * mean(xi + 1), so 1.0 means chance
 level regardless of entity count.
 """
 
-import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Graph, keep_heap
-from .datasets import FilterIndex
 
 HITS_LEVELS = (1, 3, 5, 10)
 RANK_DEFINITIONS = ("optimistic", "pessimistic", "realistic")
@@ -164,9 +162,8 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
     Head queries of an inverse-augmented store are answered by scoring all
     tails of (t, r_inverse). filtered is True, False or a tuple of them; a
     tuple gives one RankingResult per entry, all from the same score
-    matrices. filter_index, when given, filters instead of a FilterIndex
-    built over all splits; a caller that ranks the same store repeatedly
-    builds it once and passes it every time.
+    matrices. filter_index, when given, filters instead of the store's
+    index over all splits.
 
     batch_size fixes the rows scored at once. By default (None) the first
     chunk has FIRST_CHUNK_ROWS rows and each later one as many as fit in
@@ -179,7 +176,7 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
     flags = tuple(filtered) if isinstance(filtered, tuple) else (bool(filtered),)
     triples = store.triples[split]
     if True in flags and filter_index is None:
-        filter_index = FilterIndex(store)
+        filter_index = store.filter_index()
     # optimistic ranks, pessimistic ranks and candidate counts
     counts = {(flag, side): np.empty((3, triples.shape[0]), dtype=np.int64)
               for flag in flags for side in SIDES}
@@ -218,31 +215,18 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
     return results if isinstance(filtered, tuple) else results[0]
 
 
-def rank_test_split(model, params, store, filter_index=None):
+def rank_test_split(model, params, store):
     """Test-split metrics, {"filtered"/"unfiltered": RankingResult.metrics()},
     as a run's result.json and a study's best.json report them; one ranking
     pass gives both."""
-    filtered, unfiltered = compute_ranks(model, params, store, split="test",
-                                         filtered=(True, False), filter_index=filter_index)
+    filtered, unfiltered = compute_ranks(model, params, store, "test", filtered=(True, False))
     return {"filtered": filtered.metrics(), "unfiltered": unfiltered.metrics()}
 
 
-def make_validation_callback(model, store, *, metric=STOPPER_METRICS[0],
-                             filter_index_fn=None):
+def make_validation_callback(model, store, *, metric=STOPPER_METRICS[0]):
     """A params -> float scorer for early stopping: the metric over both
-    sides of the filtered validation split, under realistic ranks.
-
-    filter_index_fn() returns the FilterIndex to filter with; it is first
-    called by the first evaluation, so a run that shares one index between
-    validation and its test ranking builds it after training has started.
-    By default the first call builds an index over all splits and every
-    later call reuses it.
+    sides of the filtered validation split, under realistic ranks. The
+    store's index over all splits is built by the first evaluation, so
+    after training has started.
     """
-    if filter_index_fn is None:
-        filter_index_fn = functools.cache(lambda: FilterIndex(store))
-
-    def callback(params):
-        return compute_ranks(model, params, store, split="valid",
-                             filter_index=filter_index_fn()).get(metric)
-
-    return callback
+    return lambda params: compute_ranks(model, params, store, split="valid").get(metric)

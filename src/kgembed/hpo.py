@@ -35,7 +35,7 @@ from .datasets import add_inverse_relations
 from .evaluation import STOPPER_METRICS, rank_test_split
 from .losses import LOSS_CHECKS, loss_problem
 from .models import InteractionSpec
-from .pipeline import DataError, build_model, train_run
+from .pipeline import DataError, _is, _type_name, build_model, train_run
 from .sampling import derive_seed, rng_for
 from .settings import require
 from .training import (APPROACHES, OPTIMIZER_CHECKS, OPTIMIZERS, TRAINING_CHECKS,
@@ -230,7 +230,20 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(**doc)
+        """The record of a JSON object; TypeError names a missing, unknown or
+        mistyped field."""
+        record = cls(**doc)
+        for name, types in _RECORD_TYPES.items():
+            if not _is(getattr(record, name), types):
+                raise TypeError(f"{name}: expected {_type_name(types)}")
+        return record
+
+
+# the JSON type of each TrialRecord field
+_RECORD_TYPES = {"trial_id": int, "config": dict, "seed": int, "status": str,
+                 "metric": (int, float, type(None)), "best_epoch": (int, type(None)),
+                 "epochs_run": int, "wall_seconds": (int, float),
+                 "error": (str, type(None))}
 
 
 def trial_document(cfg, *, seed, metric=STOPPER_METRICS[0],
@@ -279,8 +292,7 @@ def run_trial(trial_id, cfg, stores, *, seed, metric=STOPPER_METRICS[0],
     try:
         doc = trial_document(cfg, seed=seed, metric=metric,
                              eval_frequency=eval_frequency, patience=patience)
-        _, _, result, _ = train_run(doc, stores[doc["inverse_relations"]],
-                                    deadline=deadline)
+        _, _, result = train_run(doc, stores[doc["inverse_relations"]], deadline=deadline)
     except Exception as e:  # a failed trial must not kill the study
         log.warning("trial %d failed: %s", trial_id, e)
         record = TrialRecord(trial_id, cfg, seed, "failed", None, None, 0,

@@ -23,7 +23,6 @@ Environment overrides are deliberately limited to KGEMBED_OUTPUT_DIR and
 KGEMBED_THREADS; everything else lives in the document.
 """
 
-import functools
 import hashlib
 import json
 import logging
@@ -34,7 +33,7 @@ import time
 import numpy as np
 
 from .autodiff import keep_heap
-from .datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
+from .datasets import SPLITS, TripleStore, add_inverse_relations
 from .evaluation import STOPPER_METRICS, make_validation_callback, rank_test_split
 from .losses import LOSS_CHECKS, LossSpec, loss_problem
 from .models import (KINDS as MODEL_KINDS, InteractionSpec, build_interaction,
@@ -312,12 +311,16 @@ def load_study(path):
 
 
 def load_store(dataset):
-    """TripleStore from a config's dataset section; DataError on failure."""
+    """TripleStore from a config's dataset section; DataError on failure or
+    when the training split has no triples."""
     try:
-        return TripleStore.from_files(dataset["train"], dataset["valid"],
-                                      dataset["test"])
+        store = TripleStore.from_files(dataset["train"], dataset["valid"],
+                                       dataset["test"])
     except (OSError, ValueError) as e:
         raise DataError(str(e))
+    if not store.num_triples("train"):
+        raise DataError(f"{dataset['train']}: the training split has no triples")
+    return store
 
 
 def vocab_sha256(store):
@@ -380,24 +383,24 @@ def train_run(cfg, store, *, trace_path=None, deadline=None):
 
     store must carry inverse relations exactly when cfg asks for them. Builds
     the model, initializes its parameters, trains with the document's early
-    stopping and returns (spec, model, TrainResult, filter_index_fn), where
-    filter_index_fn() gives the run's one FilterIndex over all splits: built
-    by the first validation, or by the first call after training.
+    stopping and returns (spec, model, TrainResult). DataError when sLCWA
+    has no entity to corrupt a triple with.
     """
     if store.inverse_augmented != cfg["inverse_relations"]:
         raise ValueError("the store's inverse relations do not match the run document")
+    if cfg["training"]["approach"] == "slcwa" and store.num_entities < 2:
+        raise DataError(f"slcwa needs at least 2 entities to draw negatives, "
+                        f"the dataset has {store.num_entities}")
     spec, model = build_model(cfg, store)
     params = init_parameters(model, derive_seed(cfg["seed"], "init"))
     tconf = build_training_config(cfg)
-    filter_index_fn = functools.cache(lambda: FilterIndex(store))
     callback = None
     if cfg["early_stopping"]["enabled"]:
-        callback = make_validation_callback(
-            model, store, metric=cfg["early_stopping"]["metric"],
-            filter_index_fn=filter_index_fn)
+        callback = make_validation_callback(model, store,
+                                            metric=cfg["early_stopping"]["metric"])
     result = train(model, params, store, tconf, evaluate_fn=callback,
                    trace_path=trace_path, deadline=deadline)
-    return spec, model, result, filter_index_fn
+    return spec, model, result
 
 
 def execute_run(cfg, *, config_bytes=None, output_dir=None):
@@ -416,11 +419,11 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
     if cfg["inverse_relations"]:
         store = add_inverse_relations(store)
     trace_path = os.path.join(out_dir, "trace.jsonl")
-    spec, model, result, filter_index_fn = train_run(cfg, store, trace_path=trace_path)
+    spec, model, result = train_run(cfg, store, trace_path=trace_path)
     train_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()
-    metrics = rank_test_split(model, result.params, store, filter_index_fn())
+    metrics = rank_test_split(model, result.params, store)
     eval_seconds = time.monotonic() - t1
 
     checkpoint_path = os.path.join(out_dir, "checkpoint.kge")

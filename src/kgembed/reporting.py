@@ -26,7 +26,8 @@ HPO_SUMMARY_HEADER = [
 
 
 def load_run_result(path):
-    """One result.json document; FileNotFoundError keeps the path visible."""
+    """One result.json document whose report row builds; ValueError names
+    what is wrong, FileNotFoundError keeps the path visible."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -35,6 +36,10 @@ def load_run_result(path):
                if k not in doc]
     if missing:
         raise ValueError(f"missing required sections: {', '.join(missing)}")
+    try:
+        run_row(doc)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed sections: {type(e).__name__}: {e}") from None
     return doc
 
 

@@ -21,7 +21,7 @@ import zlib
 
 import numpy as np
 
-from .datasets import FilterIndex, relation_stats
+from .datasets import relation_stats
 from .settings import one_of, require
 
 SAMPLERS = ("uniform", "bernoulli")
@@ -51,8 +51,8 @@ class NegativeSampler:
     filtered=True (default off: the occasional false negative is part of the
     training signal) draws each replacement with FilterIndex.draw_unknown;
     residual_false_negatives counts, over all calls, the saturated queries
-    that return a known triple anyway. The training-split filter_index also
-    serves the Bernoulli statistics.
+    that return a known triple anyway. filter_index defaults to the store's
+    training-split index, which also serves the Bernoulli statistics.
     """
 
     # no longer used by the sampler, which draws filtered negatives exactly;
@@ -64,10 +64,8 @@ class NegativeSampler:
         self.kind = kind
         self.num_entities = store.num_entities
         self.filtered = filtered
-        self._filter = filter_index
+        self._filter = filter_index or (store.filter_index(("train",)) if filtered else None)
         self.residual_false_negatives = 0
-        if filtered and filter_index is None:
-            raise ValueError("filtered sampling needs a filter index")
         if kind == "bernoulli":
             tph, hpt = relation_stats(store, index=filter_index)
             self.head_prob = tph / (tph + hpt)
@@ -119,7 +117,7 @@ class LCWATask:
     """
 
     def __init__(self, store):
-        self._index = FilterIndex(store, splits=("train",))
+        self._index = store.filter_index(("train",))
         self.pairs = np.stack(self._index.groups("tail")[0], axis=1).astype(np.intp)
         self.num_entities = store.num_entities
 

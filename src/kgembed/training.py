@@ -17,7 +17,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .autodiff import Graph, keep_heap
-from .datasets import FilterIndex
 from .losses import LossSpec, batch_loss, loss_problem
 from .models import MAX_WIDTH
 from .sampling import (SAMPLING_CHECKS, NegativeSampler, LCWATask, slcwa_batches,
@@ -301,10 +300,8 @@ def train(model, params, store, config, evaluate_fn=None, trace_path=None,
     optimizer = make_optimizer(config.optimizer, params)
     sampler = task = None
     if config.approach == "slcwa":
-        fi = FilterIndex(store, splits=("train",)) if config.filtered_sampling else None
-        sampler = NegativeSampler(
-            store, kind=config.sampler, filtered=config.filtered_sampling, filter_index=fi
-        )
+        sampler = NegativeSampler(store, kind=config.sampler,
+                                  filtered=config.filtered_sampling)
     else:
         task = LCWATask(store)
 

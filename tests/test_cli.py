@@ -172,6 +172,21 @@ def test_train_malformed_dataset_exits_3(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train, message", [
+    ([], "the training split has no triples"),
+    (["a\tr0\ta"], "slcwa needs at least 2 entities to draw negatives, the dataset has 1"),
+], ids=["empty-train", "one-entity"])
+def test_train_degenerate_dataset_exits_3(tmp_path, capsys, train, message):
+    # an empty training split, and a graph with no entity to corrupt with
+    valid = test = ["a\tr0\ta"]
+    data = write_dataset(tmp_path / "data", train=train, valid=valid, test=test)
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(run_config(data, tmp_path / "out")))
+    assert main(["train", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err, err
+
+
 def test_train_divergence_exits_4(tmp_path, capsys):
     data = write_dataset(tmp_path / "data")
     doc = run_config(data, tmp_path / "out")
@@ -536,7 +551,12 @@ RECORD = {"trial_id": 0, "config": {}, "seed": 1, "status": "failed", "metric": 
      "trials.jsonl, line 2: not a trial record"),
     ("trials.jsonl", json.dumps(dict(RECORD, surprise=1)) + "\n",
      "trials.jsonl, line 1: not a trial record"),
-], ids=["manifest-malformed", "trials-cut-line", "trials-unknown-key"])
+    ("trials.jsonl", json.dumps(dict(RECORD, status="completed", metric="high")) + "\n",
+     "trials.jsonl, line 1: not a trial record: metric: expected int or float or null"),
+    ("trials.jsonl", json.dumps(RECORD) + "\n" + json.dumps(dict(RECORD, trial_id="zero")),
+     "trials.jsonl, line 2: not a trial record: trial_id: expected int"),
+], ids=["manifest-malformed", "trials-cut-line", "trials-unknown-key", "trials-metric-str",
+        "trials-id-str"])
 def test_hpo_damaged_state_file_exits_3(workspace, tmp_path, capsys, name, text, message):
     # resuming from a damaged study directory is a data error, not a traceback
     out = tmp_path / "o"
@@ -600,3 +620,17 @@ def test_report_non_result_json_exits_3(tmp_path, capsys):
     p.write_text("{}")
     assert main(["report", str(p)]) == 3
     assert "not a result document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"config": {}, "metrics": {}, "training": {}, "timing": {}}, "KeyError: 'filtered'"),
+    ({"config": [], "metrics": [], "training": [], "timing": []}, "TypeError: "),
+], ids=["empty-objects", "lists"])
+def test_report_malformed_sections_exit_3(tmp_path, capsys, sections, message):
+    # the four sections are there, but their contents build no report row
+    p = tmp_path / "result.json"
+    p.write_text(json.dumps(sections))
+    assert main(["report", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {p}: not a result document: malformed sections: ")
+    assert message in err, err

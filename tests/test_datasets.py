@@ -3,6 +3,8 @@
 import collections
 import logging
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +291,30 @@ def test_filter_index_respects_split_selection():
     assert full.completions("tail", [a], [r])[1].tolist() == sorted(
         s.entity_to_id[x] for x in ("b", "c", "d")
     )
+
+
+def test_store_builds_each_filter_index_once():
+    s = TripleStore.from_labeled_triples(
+        [("a", "r", "b")], valid=[("a", "r", "c")], test=[("a", "r", "d")]
+    )
+    full, train_only = s.filter_index(), s.filter_index(["train"])
+    assert s.filter_index(SPLITS) is full and s.filter_index(("train",)) is train_only
+    assert full is not train_only
+    for splits, index in ((SPLITS, full), (("train",), train_only)):
+        fresh = FilterIndex(s, splits=splits)
+        assert np.array_equal(index.tail_keys, fresh.tail_keys)
+        assert np.array_equal(index.head_keys, fresh.head_keys)
+    # an augmented store is a new store with its own indexes
+    assert add_inverse_relations(s).filter_index() is not full
+
+
+def test_only_the_store_builds_filter_indexes():
+    # TripleStore.filter_index is the one place in the library that builds a
+    # FilterIndex, so every caller shares the store's index
+    src = Path(__file__).resolve().parents[1] / "src" / "kgembed"
+    builders = sorted(p.name for p in src.glob("*.py")
+                      if re.search(r"\bFilterIndex\(", p.read_text(encoding="utf-8")))
+    assert builders == ["datasets.py"]
 
 
 def test_filter_index_misses_return_empty_arrays():

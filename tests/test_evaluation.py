@@ -384,25 +384,25 @@ def test_given_filter_index_is_used_and_matches_a_fresh_build():
 
 
 def test_validation_callback_builds_its_filter_index_once(monkeypatch):
-    import kgembed.evaluation as evaluation
-
+    # the callback, a direct filtered ranking and rank_test_split all filter
+    # with the store's one index over all splits
     builds = []
+    init = FilterIndex.__init__
 
-    class Counting(FilterIndex):
-        def __init__(self, *args, **kwargs):
-            builds.append(1)
-            super().__init__(*args, **kwargs)
+    def counting_init(self, store, splits=SPLITS):
+        builds.append(tuple(splits))
+        init(self, store, splits)
 
-    monkeypatch.setattr(evaluation, "FilterIndex", Counting)
+    monkeypatch.setattr(FilterIndex, "__init__", counting_init)
     rng = np.random.default_rng(12)
     store = make_store(rng, 6, 2)
     model, params = int_model(rng, 6, 2)
     cb = make_validation_callback(model, store)
     assert builds == []  # built by the first call, not up front
     values = [cb(params) for _ in range(3)]
-    assert len(builds) == 1
     assert values == [compute_ranks(model, params, store, split="valid").get()] * 3
-    assert len(builds) == 2  # the direct call builds its own
+    rank_test_split(model, params, store)
+    assert builds == [SPLITS]
 
 
 def test_untrained_unfiltered_amr_sits_near_one():

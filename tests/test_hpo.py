@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from kgembed.datasets import TripleStore, add_inverse_relations
+from kgembed.datasets import SPLITS, FilterIndex, TripleStore, add_inverse_relations
 from kgembed.evaluation import compute_ranks
 from kgembed.hpo import (
     ADVERSARIAL_TEMPERATURES,
@@ -423,6 +423,28 @@ def test_study_with_no_completed_trials_raises(monkeypatch):
     with pytest.raises(StudyError, match="no trial completed"):
         random_search(tiny_space(), toy_store(), budget=Budget(max_trials=2),
                       eval_frequency=1, patience=2)
+
+
+def test_study_builds_each_filter_index_at_most_once(monkeypatch):
+    # trials, their validations and the final test ranking share each
+    # store's indexes: at most one per (store, splits) over the whole study
+    builds = []
+    init = FilterIndex.__init__
+
+    def counting_init(self, store, splits=SPLITS):
+        builds.append((id(store), tuple(splits)))
+        init(self, store, splits)
+
+    monkeypatch.setattr(FilterIndex, "__init__", counting_init)
+    space = tiny_space(approaches=("slcwa", "lcwa"), lcwa_losses=("bcel",),
+                       samplers=("bernoulli",), inverse_choices=(False, True))
+    result = random_search(space, toy_store(), budget=Budget(max_trials=6),
+                           eval_frequency=1, patience=2, workers=1)
+    drawn = {(r.config["approach"], r.config["inverse"]) for r in result.records}
+    assert {inverse for _, inverse in drawn} == {False, True}
+    assert {approach for approach, _ in drawn} == {"slcwa", "lcwa"}
+    assert len(builds) == len(set(builds))
+    assert {splits for _, splits in builds} == {SPLITS, ("train",)}
 
 
 def test_exhausted_study_budget_prevents_new_trials():

@@ -60,12 +60,28 @@ def test_rng_for_streams_are_reproducible():
 # negative sampling
 # ---------------------------------------------------------------------------
 
-def test_sampler_rejects_unknown_kind_and_missing_filter():
+def test_sampler_rejects_unknown_kind():
     s = toy_store()
     with pytest.raises(ValueError, match="sampler: must be 'uniform' or 'bernoulli'"):
         NegativeSampler(s, kind="importance")
-    with pytest.raises(ValueError, match="filter index"):
-        NegativeSampler(s, filtered=True)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "bernoulli"])
+def test_filtered_sampler_defaults_to_the_training_split_index(kind):
+    # without an index, a filtered sampler draws exactly what one given a
+    # training-split FilterIndex draws
+    s = TripleStore.from_directory(DATA / "nations")
+    samplers = [NegativeSampler(s, kind=kind, filtered=True),
+                NegativeSampler(s, kind=kind, filtered=True,
+                                filter_index=FilterIndex(s, splits=("train",)))]
+    draws = []
+    for sampler in samplers:
+        rng = np.random.default_rng(21)
+        draws.append([sampler.corrupt(rng, s.triples["train"][start:start + 256], 3)
+                      for start in range(0, s.num_triples("train"), 256)])
+    for default, given in zip(*draws):
+        assert np.array_equal(default, given)
+    assert samplers[0].residual_false_negatives == samplers[1].residual_false_negatives
 
 
 def test_corrupt_changes_exactly_one_side():
