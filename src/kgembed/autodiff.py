@@ -20,10 +20,12 @@ more array per step; a strided view is copied, since the VJPs that read it
 run slower on it. Leaf gradients may alias each other or internal arrays and
 must be treated as read-only by their readers.
 
-Contractions: every einsum2 node, in its forward and in its VJP, is one
-np.matmul over operands reshaped to (batch, free, contracted) stacks, or a
-broadcast multiply when nothing is contracted; the plan is made once per
-(spec, shapes) and cached (_einsum_plan), and a spec is checked once.
+Contractions: einsum2 is the one contraction op; `a @ b` on nodes is
+sugar for einsum2 "ij,jk->ik". Every einsum2 node, in its forward and in its
+VJP, is one np.matmul over operands reshaped to (batch, free, contracted)
+stacks, or a broadcast multiply when nothing is contracted; the plan is made
+once per (spec, shapes) and cached (_einsum_plan), a spec is checked once,
+and each operand must have one axis per label of its spec.
 conv2d is im2col: the (kr, kc) windows become the rows of a (windows,
 kr·kc) matrix, so the forward and both gradients are matmuls, the input
 gradient followed by kr·kc shifted adds.
@@ -230,7 +232,6 @@ _FORWARD = {
     "mul": lambda at, a, b: a * b,
     "div": lambda at, a, b: a / b,
     "neg": lambda at, a: -a,
-    "matmul": lambda at, a, b: a @ b,
     "einsum2": lambda at, a, b: _einsum(*at["_parts"], a, b),
     "transpose": lambda at, a: np.transpose(a, at["axes"]),
     "reshape": lambda at, a: a.reshape(at["shape"]),
@@ -295,12 +296,6 @@ def _vjp_div(g, node, a, b):
     pa, pb = node.parents
     return (_unbroadcast(g / b, a.shape) if pa.requires_grad else None,
             _unbroadcast(-g * a / (b * b), b.shape) if pb.requires_grad else None)
-
-
-def _vjp_matmul(g, node, a, b):
-    pa, pb = node.parents
-    return (g @ b.T if pa.requires_grad else None,
-            a.T @ g if pb.requires_grad else None)
 
 
 def _einsum_into(s1, s2, target, x, y, shape):
@@ -418,7 +413,6 @@ _VJP = {
     "mul": _vjp_mul,
     "div": _vjp_div,
     "neg": lambda g, node, a: (-g,),
-    "matmul": _vjp_matmul,
     "einsum2": _vjp_einsum2,
     "transpose": lambda g, node, a: (np.transpose(g, np.argsort(node.attrs["axes"])),),
     "reshape": lambda g, node, a: (g.reshape(a.shape),),
@@ -518,7 +512,7 @@ class Node:
         return self.graph.apply("neg", self)
 
     def __matmul__(self, other):
-        return self.graph.apply("matmul", self, other)
+        return self.graph.einsum("ij,jk->ik", self, other)
 
     def __getitem__(self, key):
         if not isinstance(key, tuple):
@@ -549,7 +543,7 @@ class Graph:
     Nodes are created through leaf/constant/apply and evaluated immediately.
     backward() runs one reverse sweep from a scalar loss, summing gradient
     contributions over all paths. A second backward on the same graph is
-    rejected until reset_grads() is called.
+    rejected.
     """
 
     def __init__(self):
@@ -582,12 +576,11 @@ class Graph:
                 raise ValueError("cannot mix nodes from different graphs")
         if op == "einsum2":
             attrs["_parts"] = _einsum_parts(attrs["spec"])
+            if [p.value.ndim for p in parents] != [len(labels) for labels in attrs["_parts"][:2]]:
+                raise ValueError(f"einsum {attrs['spec']!r} needs one axis per label, got "
+                                 f"operands of shapes {[p.shape for p in parents]}")
         if op == "gather":
             attrs["indices"] = np.asarray(attrs["indices"], dtype=np.intp)
-        if op == "matmul":
-            a, b = parents
-            if a.value.ndim != 2 or b.value.ndim != 2:
-                raise ValueError("matmul expects 2-D operands; use einsum2 otherwise")
         value = _FORWARD[op](attrs, *[p.value for p in parents])
         requires_grad = any(p.requires_grad for p in parents)
         return self._register(op, parents, attrs, _as_f64(value), requires_grad)
@@ -662,7 +655,7 @@ class Graph:
         if loss.value.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.value.shape}")
         if self._backward_ran:
-            raise RuntimeError("backward already ran on this graph; call reset_grads() first")
+            raise RuntimeError("backward already ran on this graph")
         self._backward_ran = True
         loss.grad = np.ones_like(loss.value)
         owned = set()  # ids of nodes whose grad buffer this sweep allocated
@@ -686,11 +679,6 @@ class Graph:
                 else:
                     parent.grad = parent.grad + pg
                     owned.add(parent.id)
-
-    def reset_grads(self):
-        for node in self.nodes:
-            node.grad = None
-        self._backward_ran = False
 
     def min_kink_distance(self):
         """Smallest |input - kink| over all kink-sensitive ops in the graph.

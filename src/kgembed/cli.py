@@ -143,10 +143,8 @@ def cmd_hpo(args):
     workers = _env_workers(study["workers"])
     out_dir = os.environ.get("KGEMBED_OUTPUT_DIR") or study["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    store = load_store(study["dataset"])
-
     result = random_search(
-        study["space"], store,
+        study["space"], load_store(study["dataset"]),
         budget=study["budget"],
         master_seed=study["seed"],
         metric=study["metric"],
@@ -160,10 +158,8 @@ def cmd_hpo(args):
     ckpt_path = os.path.join(out_dir, "best_checkpoint.kge")
     save_checkpoint(ckpt_path, InteractionSpec.from_dict(result.best_spec),
                     result.best_params,
-                    extra={"vocab_sha256": vocab_sha256(
-                        add_inverse_relations(store)
-                        if result.best.config["inverse"] else store),
-                        "seed": result.best.seed})
+                    extra={"vocab_sha256": vocab_sha256(result.best_store),
+                           "seed": result.best.seed})
     best_doc = {
         "best_trial": result.best.to_json(),
         "test_metrics": result.test_metrics,

@@ -74,6 +74,7 @@ class TripleStore:
             num_base_relations if num_base_relations is not None else len(self.relation_to_id)
         )
         self._filter_indexes = {}  # tuple of splits -> FilterIndex
+        self._augmented = {}  # "inverse" -> the store add_inverse_relations made of it
 
     @property
     def num_entities(self):
@@ -160,15 +161,20 @@ class TripleStore:
 
 
 def add_inverse_relations(store):
-    """Return a new store whose training split also contains inverse triples.
+    """The store whose training split also contains inverse triples, built
+    by the first call and returned by every later one, as
+    TripleStore.filter_index keeps its indexes: one augmented store, and so
+    one set of its indexes, per store.
 
     For every training triple (h, r, t) an inverse triple (t, r', h) is added,
     where r' = r + R and R is the original relation count. Validation and test
     splits are left untouched; their inverse forms are derived on the fly
-    during evaluation. Augmenting twice is an error.
+    during evaluation. Augmenting an augmented store is an error.
     """
     if store.inverse_augmented:
         raise ValueError("store already contains inverse relations")
+    if "inverse" in store._augmented:
+        return store._augmented["inverse"]
     base = store.num_relations
     relation_to_id = dict(store.relation_to_id)
     for label, i in store.relation_to_id.items():
@@ -183,13 +189,14 @@ def add_inverse_relations(store):
     inverse = np.stack([train[:, 2], train[:, 1] + base, train[:, 0]], axis=1)
     triples = dict(store.triples)
     triples["train"] = np.concatenate([train, inverse], axis=0)
-    return TripleStore(
+    # two threads may both build it on a first call, as in filter_index
+    return store._augmented.setdefault("inverse", TripleStore(
         store.entity_to_id,
         relation_to_id,
         triples,
         inverse_augmented=True,
         num_base_relations=base,
-    )
+    ))
 
 
 def relation_stats(store, index=None):

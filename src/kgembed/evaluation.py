@@ -93,25 +93,19 @@ class RankingResult:
     """Ranks for every evaluated triple, by side, plus aggregation."""
 
     def __init__(self, sides, split, filtered):
-        self.sides = sides  # dict side -> SideRanks
+        self.sides = sides  # dict side -> SideRanks, for both SIDES
         self.split = split
         self.filtered = filtered
 
-    def side_names(self):
-        names = [s for s in SIDES if s in self.sides]
-        if len(names) > 1:
-            names.append("both")
-        return names
-
     def _side_ranks(self, side):
-        if side == "both" and len(self.sides) > 1:
-            return SideRanks.concatenate([self.sides[s] for s in SIDES if s in self.sides])
+        if side == "both":
+            return SideRanks.concatenate([self.sides[s] for s in SIDES])
         return self.sides[side]
 
     def metrics(self):
-        """{side: {definition: {metric: value}}} over all computed sides."""
+        """{side: {definition: {metric: value}}} for each side and "both"."""
         out = {}
-        for side in self.side_names():
+        for side in SIDES + ("both",):
             sr = self._side_ranks(side)
             out[side] = {
                 d: _metrics_from_ranks(sr.by_definition(d), sr.candidates)
@@ -141,7 +135,7 @@ class RankingResult:
         metrics = self.metrics()
         return [{"split": self.split, "filtered": self.filtered, "side": side,
                  "rank_definition": d, **metrics[side][d]}
-                for side in sides or self.side_names() for d in definitions]
+                for side in sides or SIDES + ("both",) for d in definitions]
 
 
 def _score_matrix(g, model, params, side, triples, store):
@@ -156,14 +150,14 @@ def _score_matrix(g, model, params, side, triples, store):
 
 
 def compute_ranks(model, params, store, split="test", *, filtered=True,
-                  batch_size=None, filter_index=None):
+                  batch_size=None):
     """Rank every triple of a split in both directions.
 
     Head queries of an inverse-augmented store are answered by scoring all
     tails of (t, r_inverse). filtered is True, False or a tuple of them; a
     tuple gives one RankingResult per entry, all from the same score
-    matrices. filter_index, when given, filters instead of the store's
-    index over all splits.
+    matrices. Filtering removes the known triples of the store's index over
+    all splits (TripleStore.filter_index).
 
     batch_size fixes the rows scored at once. By default (None) the first
     chunk has FIRST_CHUNK_ROWS rows and each later one as many as fit in
@@ -175,8 +169,6 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
     keep_heap()
     flags = tuple(filtered) if isinstance(filtered, tuple) else (bool(filtered),)
     triples = store.triples[split]
-    if True in flags and filter_index is None:
-        filter_index = store.filter_index()
     # optimistic ranks, pessimistic ranks and candidate counts
     counts = {(flag, side): np.empty((3, triples.shape[0]), dtype=np.int64)
               for flag in flags for side in SIDES}
@@ -200,7 +192,7 @@ def compute_ranks(model, params, store, split="test", *, filtered=True,
             for flag in sorted(set(flags)):
                 if flag:
                     query = chunk[:, :2] if side == "tail" else chunk[:, 1:]  # (h, r) or (r, t)
-                    keep[filter_index.completions(side, *query.T)] = False
+                    keep[store.filter_index().completions(side, *query.T)] = False
                 c = counts[flag, side][:, start : start + chunk.shape[0]]
                 c[0] = 1 + np.count_nonzero(gt & keep, axis=1)
                 c[1] = 1 + np.count_nonzero(ge & keep, axis=1)

@@ -4,14 +4,14 @@ A study draws full training configurations from a SearchSpace, which runs
 every value a trial can draw through the check of the run setting it
 becomes, so every trial of an accepted space builds. A trial is a run:
 trial_document turns its configuration into a run document (what the trial
-drew, the study's early stopping, inverse relations and seed), and
-pipeline.train_run trains it exactly as `kgembed train` trains a run, filling
-the settings the trial did not draw with their defaults, with early
-stopping on the validation split. The study keeps the configuration
-with the best validation metric. The final step obtains its parameters
-(reusing the winning trial's when they are still in memory, retraining
-otherwise, which is the same deterministic computation) and reports its
-test-split metrics with evaluation.rank_test_split, as a run does.
+drew, the study's one early-stopping section, inverse relations and seed),
+and pipeline.train_run trains it on the dataset's store exactly as `kgembed
+train` trains a run, on the augmented store that store keeps when the trial
+draws inverse relations. The study keeps the configuration with the best
+validation metric. The final step obtains its store, model and parameters
+(those the winning trial left in memory, or a retraining otherwise, which is
+the same deterministic computation) and reports its test-split metrics with
+evaluation.rank_test_split, as a run does.
 
 Trial i is a pure function of (space, dataset, master seed, i): its
 configuration comes from a per-trial child generator and its training seed
@@ -31,11 +31,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .datasets import add_inverse_relations
 from .evaluation import STOPPER_METRICS, rank_test_split
 from .losses import LOSS_CHECKS, loss_problem
 from .models import InteractionSpec
-from .pipeline import DataError, _is, _type_name, build_model, train_run
+from .pipeline import DataError, _is, _type_name, train_run
 from .sampling import derive_seed, rng_for
 from .settings import require
 from .training import (APPROACHES, OPTIMIZER_CHECKS, OPTIMIZERS, TRAINING_CHECKS,
@@ -246,11 +245,10 @@ _RECORD_TYPES = {"trial_id": int, "config": dict, "seed": int, "status": str,
                  "error": (str, type(None))}
 
 
-def trial_document(cfg, *, seed, metric=STOPPER_METRICS[0],
-                   eval_frequency=TrainingConfig.eval_frequency,
-                   patience=TrainingConfig.patience):
+def trial_document(cfg, early_stopping, *, seed):
     """The run document, less dataset and output_dir, that trains a sampled
-    configuration: what the trial drew, its early stopping and its seed.
+    configuration: what the trial drew, the study's early_stopping section
+    and the trial's seed.
 
     Settings the trial did not draw are left out: the run path
     (pipeline.build_training_config) gives them their defaults and clamps
@@ -273,40 +271,36 @@ def trial_document(cfg, *, seed, metric=STOPPER_METRICS[0],
             "label_smoothing": cfg["label_smoothing"],
             **drawn("num_negatives"),
         },
-        "early_stopping": {"enabled": True, "frequency": eval_frequency,
-                           "patience": patience, "metric": metric},
+        "early_stopping": early_stopping,
         "inverse_relations": cfg["inverse"],
         "seed": seed,
     }
 
 
-def run_trial(trial_id, cfg, stores, *, seed, metric=STOPPER_METRICS[0],
-              eval_frequency=TrainingConfig.eval_frequency,
-              patience=TrainingConfig.patience, deadline=None):
-    """Train one configuration as a run; returns (TrialRecord, trained params
-    or None). stores maps inverse_relations to the store a run trains on.
+def run_trial(trial_id, cfg, store, early_stopping, *, seed, deadline=None):
+    """Train one configuration as a run on the dataset's store; returns
+    (TrialRecord, None) for a failed trial, else (TrialRecord, (run store,
+    model, trained params)), the run store being the one train_run trained on.
 
     Exceptions become a failed record so the surrounding search continues.
     """
     t0 = time.monotonic()
     try:
-        doc = trial_document(cfg, seed=seed, metric=metric,
-                             eval_frequency=eval_frequency, patience=patience)
-        _, _, result = train_run(doc, stores[doc["inverse_relations"]], deadline=deadline)
+        store, model, result = train_run(trial_document(cfg, early_stopping, seed=seed),
+                                         store, deadline=deadline)
     except Exception as e:  # a failed trial must not kill the study
         log.warning("trial %d failed: %s", trial_id, e)
         record = TrialRecord(trial_id, cfg, seed, "failed", None, None, 0,
                              time.monotonic() - t0,
                              error=f"{type(e).__name__}: {e}")
         return record, None
-    best = float(result.best_metric) if np.isfinite(result.best_metric) else None
     status = "budget-exhausted" if result.stopped == "deadline" else "completed"
     record = TrialRecord(
-        trial_id, cfg, seed, status, best,
-        result.best_epoch if best is not None else None,
+        trial_id, cfg, seed, status, result.best_metric,
+        result.best_epoch if result.best_metric is not None else None,
         result.epochs_run, time.monotonic() - t0,
     )
-    return record, result.params
+    return record, (store, model, result.params)
 
 
 @dataclass
@@ -315,6 +309,7 @@ class StudyResult:
     best: TrialRecord
     best_params: dict
     best_spec: dict           # InteractionSpec fields of the winning model
+    best_store: object        # the TripleStore the winner trained and was ranked on
     test_metrics: dict        # {"filtered"/"unfiltered": RankingResult.metrics()}
     retrained: bool           # False when the winning trial's params were reused
     wall_seconds: float
@@ -360,12 +355,14 @@ def random_search(space, store, *, budget=None, master_seed=0,
                   manifest_path=None, workers=1):
     """Run a study and return its StudyResult.
 
-    store must be the un-augmented TripleStore; trials that model inverse
-    relations explicitly get the augmented variant, built once here. The
-    best record is the one with the highest validation metric (earlier trial
-    wins ties); trials that were cut by the wall budget still compete when
-    they managed at least one evaluation. Zero completed trials is a
-    StudyError.
+    store must be the un-augmented TripleStore. Every trial trains on it, or
+    on the augmented store it keeps, built by the first trial that draws
+    inverse relations; all trials share one early-stopping section. The best
+    record is the one with the highest validation metric (earlier trial wins
+    ties); trials that were cut by the wall budget still compete when they
+    managed at least one evaluation. Zero completed trials is a StudyError,
+    and a loaded record whose config or seed is not the one its trial draws
+    is a DataError.
 
     Trial ids are drawn lazily, in order, skipping trials that already
     finished; no trial starts once the study's wall-time budget is spent.
@@ -379,7 +376,8 @@ def random_search(space, store, *, budget=None, master_seed=0,
     t_start = time.monotonic()
     study_deadline = t_start + budget.max_seconds if budget.max_seconds else None
 
-    stores = {False: store, True: add_inverse_relations(store)}
+    early_stopping = {"enabled": True, "frequency": eval_frequency,
+                      "patience": patience, "metric": metric}
     records = _load_records(records_path)
     finished = {i for i, r in records.items() if r.status in ("completed", "failed")}
     manifest = {
@@ -391,11 +389,16 @@ def random_search(space, store, *, budget=None, master_seed=0,
         "patience": patience,
     }
     _check_manifest(manifest_path, manifest)
+    for i, record in records.items():
+        if (record.config != sample_config(space, rng_for(master_seed, f"trial-{i}/config"))
+                or record.seed != derive_seed(master_seed, f"trial-{i}/train")):
+            raise DataError(f"{records_path}: trial {i}: the config or seed is not the one "
+                            "this study draws for it")
 
     lock = threading.Lock()
     # the best trial run here so far, ranked like the final choice below, so
     # that threads finishing in any order keep the same one
-    memo = {"key": (-np.inf, 0), "record": None, "params": None}
+    memo = {"key": (-np.inf, 0), "record": None, "trained": None}
     records_file = open(records_path, "a", encoding="utf-8") if records_path else None
 
     def launch(i):
@@ -405,16 +408,15 @@ def random_search(space, store, *, budget=None, master_seed=0,
         if budget.trial_seconds:
             cap = time.monotonic() + budget.trial_seconds
             deadline = cap if deadline is None else min(deadline, cap)
-        record, params = run_trial(
-            i, cfg, stores, seed=seed, metric=metric,
-            eval_frequency=eval_frequency, patience=patience, deadline=deadline)
+        record, trained = run_trial(i, cfg, store, early_stopping, seed=seed,
+                                    deadline=deadline)
         with lock:
             records[i] = record
             if records_file:
                 records_file.write(json.dumps(record.to_json()) + "\n")
                 records_file.flush()
             if record.metric is not None and (record.metric, -i) > memo["key"]:
-                memo.update(key=(record.metric, -i), record=record, params=params)
+                memo.update(key=(record.metric, -i), record=record, trained=trained)
         log.info("trial %d (%s/%s/%s) %s: metric=%s in %.1fs",
                  i, cfg["model"], cfg["loss"], cfg["approach"],
                  record.status, record.metric, record.wall_seconds)
@@ -455,26 +457,25 @@ def random_search(space, store, *, budget=None, master_seed=0,
     scored = [r for r in ordered if r.metric is not None]
     best = max(scored, key=lambda r: (r.metric, -r.trial_id))
 
-    best_store = stores[bool(best.config["inverse"])]
     reused = (memo["record"] is not None and memo["record"].trial_id == best.trial_id
               and best.status == "completed")
     if reused:
-        best_params = memo["params"]
+        trained = memo["trained"]
     else:
         # deterministic re-run of the winning configuration, this time
         # without a deadline so a budget-cut winner trains fully
-        record, best_params = run_trial(
-            best.trial_id, best.config, stores, seed=best.seed, metric=metric,
-            eval_frequency=eval_frequency, patience=patience)
-        if best_params is None:
+        record, trained = run_trial(best.trial_id, best.config, store, early_stopping,
+                                    seed=best.seed)
+        if trained is None:
             raise StudyError(f"retraining the best configuration failed: {record.error}")
-    spec, model = build_model(trial_document(best.config, seed=best.seed), best_store)
+    best_store, model, best_params = trained
     test_metrics = rank_test_split(model, best_params, best_store)
     return StudyResult(
         records=ordered,
         best=best,
         best_params=best_params,
-        best_spec=spec.to_dict(),
+        best_spec=model.spec.to_dict(),
+        best_store=best_store,
         test_metrics=test_metrics,
         retrained=not reused,
         wall_seconds=time.monotonic() - t_start,

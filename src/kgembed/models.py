@@ -950,9 +950,7 @@ assert set(_REGISTRY) == set(KINDS)
 
 
 def build_interaction(spec):
-    """Instantiate the model class for spec.kind."""
-    if isinstance(spec, dict):
-        spec = InteractionSpec.from_dict(spec)
+    """Instantiate the model class for an InteractionSpec's kind."""
     return _REGISTRY[spec.kind](spec)
 
 

@@ -381,17 +381,19 @@ def train_run(cfg, store, *, trace_path=None, deadline=None):
     """Train one run document on its data, in memory: a normalized one, or
     a trial's, which leaves out the training settings it did not draw.
 
-    store must carry inverse relations exactly when cfg asks for them. Builds
-    the model, initializes its parameters, trains with the document's early
-    stopping and returns (spec, model, TrainResult). DataError when sLCWA
-    has no entity to corrupt a triple with.
+    store is the dataset's store; a document with inverse_relations trains on
+    the inverse-augmented store it keeps (datasets.add_inverse_relations).
+    Builds the model, initializes its parameters, trains with the document's
+    early stopping and returns (run store, model, TrainResult), the run store
+    being the one trained on. DataError when sLCWA has no entity to corrupt
+    a triple with.
     """
-    if store.inverse_augmented != cfg["inverse_relations"]:
-        raise ValueError("the store's inverse relations do not match the run document")
+    if cfg["inverse_relations"]:
+        store = add_inverse_relations(store)
     if cfg["training"]["approach"] == "slcwa" and store.num_entities < 2:
         raise DataError(f"slcwa needs at least 2 entities to draw negatives, "
                         f"the dataset has {store.num_entities}")
-    spec, model = build_model(cfg, store)
+    _, model = build_model(cfg, store)
     params = init_parameters(model, derive_seed(cfg["seed"], "init"))
     tconf = build_training_config(cfg)
     callback = None
@@ -400,7 +402,7 @@ def train_run(cfg, store, *, trace_path=None, deadline=None):
                                             metric=cfg["early_stopping"]["metric"])
     result = train(model, params, store, tconf, evaluate_fn=callback,
                    trace_path=trace_path, deadline=deadline)
-    return spec, model, result
+    return store, model, result
 
 
 def execute_run(cfg, *, config_bytes=None, output_dir=None):
@@ -415,11 +417,8 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
     started = utc_timestamp()
     t0 = time.monotonic()
 
-    store = load_store(cfg["dataset"])
-    if cfg["inverse_relations"]:
-        store = add_inverse_relations(store)
     trace_path = os.path.join(out_dir, "trace.jsonl")
-    spec, model, result = train_run(cfg, store, trace_path=trace_path)
+    store, model, result = train_run(cfg, load_store(cfg["dataset"]), trace_path=trace_path)
     train_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()
@@ -427,7 +426,7 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
     eval_seconds = time.monotonic() - t1
 
     checkpoint_path = os.path.join(out_dir, "checkpoint.kge")
-    save_checkpoint(checkpoint_path, spec, result.params,
+    save_checkpoint(checkpoint_path, model.spec, result.params,
                     extra={"vocab_sha256": vocab_sha256(store),
                            "seed": cfg["seed"]})
     config_path = os.path.join(out_dir, "config.json")
@@ -443,8 +442,7 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
         "training": {
             "epochs_run": result.epochs_run,
             "best_epoch": result.best_epoch,
-            "best_validation_metric": (None if not np.isfinite(result.best_metric)
-                                       else result.best_metric),
+            "best_validation_metric": result.best_metric,
             "final_loss": result.losses[-1] if result.losses else None,
             "skipped_steps": result.skipped_steps,
             "stopped": result.stopped,

@@ -11,11 +11,20 @@ import io
 import json
 import os
 
+from .pipeline import _is, _type_name
+
 RUN_REPORT_HEADER = [
     "model", "loss", "approach", "inverse", "dataset", "seed",
     "hits_at_10", "mrr", "mr", "amr", "best_epoch", "epochs_run",
     "train_seconds",
 ]
+
+# the JSON type of each report-row field
+_NUMBER = (int, float)
+_ROW_TYPES = {"model": str, "loss": str, "approach": str, "inverse": bool,
+              "dataset": str, "seed": int, "hits_at_10": _NUMBER, "mrr": _NUMBER,
+              "mr": _NUMBER, "amr": _NUMBER, "best_epoch": int, "epochs_run": int,
+              "train_seconds": _NUMBER}
 
 HPO_SUMMARY_HEADER = [
     "model", "approach", "loss", "inverse", "embedding_dim", "optimizer",
@@ -26,8 +35,9 @@ HPO_SUMMARY_HEADER = [
 
 
 def load_run_result(path):
-    """One result.json document whose report row builds; ValueError names
-    what is wrong, FileNotFoundError keeps the path visible."""
+    """One result.json document whose report row builds, each field of the
+    JSON type of _ROW_TYPES; ValueError names what is wrong,
+    FileNotFoundError keeps the path visible."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -37,9 +47,12 @@ def load_run_result(path):
     if missing:
         raise ValueError(f"missing required sections: {', '.join(missing)}")
     try:
-        run_row(doc)
+        row = run_row(doc)
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed sections: {type(e).__name__}: {e}") from None
+    for field, types in _ROW_TYPES.items():
+        if not _is(row[field], types):
+            raise ValueError(f"malformed sections: {field}: expected {_type_name(types)}")
     return doc
 
 

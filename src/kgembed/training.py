@@ -276,7 +276,7 @@ class TrainResult:
     params: dict
     epochs_run: int
     best_epoch: int
-    best_metric: float
+    best_metric: float  # None when no validation ran
     losses: list
     skipped_steps: int
     trace: list
@@ -355,12 +355,12 @@ def train(model, params, store, config, evaluate_fn=None, trace_path=None,
     else:
         # no validation ever ran, so there is no metric to report
         final_params = params
-        best_epoch, best_metric = epochs_run, float("nan")
+        best_epoch, best_metric = epochs_run, None
     return TrainResult(
         params=final_params,
         epochs_run=epochs_run,
         best_epoch=best_epoch,
-        best_metric=float(best_metric),
+        best_metric=best_metric,
         losses=losses,
         skipped_steps=skipped_total,
         trace=trace,

@@ -24,3 +24,13 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(kgembed.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(kgembed, name), name
+
+
+def test_benchmark_hooks_stay_module_level_callables():
+    # kgbench's tracer keys per-layer metrics on these names; a rename would
+    # make its hpo.trial_s and pipeline.artifacts_s silently read 0
+    from kgembed import hpo, models, pipeline
+
+    for module, name in ((hpo, "run_trial"), (pipeline, "execute_run"),
+                         (models, "save_checkpoint")):
+        assert callable(vars(module).get(name)), f"{module.__name__}.{name}"

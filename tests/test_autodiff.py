@@ -97,12 +97,29 @@ def test_einsum_validation_rejects_bad_specs():
         g.einsum("ij,jk", a, b)  # no arrow
 
 
+def test_einsum_operands_need_one_axis_per_label():
+    g = Graph()
+    a, b = g.leaf(np.ones((3, 4))), g.leaf(np.ones((4, 5)))
+    with pytest.raises(ValueError, match="'bij,jk->bik' needs one axis per label"):
+        g.einsum("bij,jk->bik", a, b)  # numpy would broadcast a (3, 4, 5) out of it
+    with pytest.raises(ValueError, match="'ij,jk->ik' needs one axis per label"):
+        g.einsum("ij,jk->ik", g.leaf(np.ones((2, 3, 4))), b)
+
+
 def test_matmul_requires_2d():
     g = Graph()
     a = g.leaf(np.ones((2, 3, 4)))
     b = g.leaf(np.ones((4, 2)))
     with pytest.raises(ValueError):
         _ = a @ b
+
+
+def test_matmul_is_einsum2():
+    g = Graph()
+    a, b = g.leaf(np.arange(6.0).reshape(2, 3)), g.leaf(np.ones((3, 2)))
+    c = a @ b
+    assert (c.op, c.attrs["spec"]) == ("einsum2", "ij,jk->ik")
+    assert np.array_equal(c.value, a.value @ b.value)
 
 
 def _sum_to(x, shape):
@@ -403,18 +420,15 @@ def test_backward_requires_scalar():
         g.backward(a + a)
 
 
-def test_second_backward_rejected_until_reset():
+def test_second_backward_rejected():
     g = Graph()
     a = g.leaf([1.0, 2.0])
     loss = (a * a).sum()
     g.backward(loss)
     first = a.grad.copy()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="backward already ran"):
         g.backward(loss)
-    g.reset_grads()
-    assert a.grad is None
-    g.backward(loss)
-    assert np.allclose(a.grad, first)
+    assert np.array_equal(a.grad, first)
 
 
 def test_constants_receive_no_gradient():

@@ -433,8 +433,10 @@ def study_doc(data_dir, out_dir, **overrides):
 
 def test_hpo_end_to_end(workspace, tmp_path, capsys):
     out = tmp_path / "study"
+    doc = study_doc(workspace["data"], out)
+    doc["space"]["inverse_choices"] = [True]
     p = tmp_path / "study.json"
-    p.write_text(json.dumps(study_doc(workspace["data"], out)))
+    p.write_text(json.dumps(doc))
     assert main(["hpo", str(p)]) == 0
     stdout = capsys.readouterr().out
     assert "3 trials" in stdout
@@ -451,9 +453,12 @@ def test_hpo_end_to_end(workspace, tmp_path, capsys):
     assert got[0] == HPO_HEADER
     assert len(got) == 2  # single-model space: one summary row
 
-    # the exported checkpoint evaluates cleanly through the same CLI
-    assert main(["evaluate", best["checkpoint"],
-                 "--data", str(workspace["data"])]) == 0
+    # the exported checkpoint, trained with inverse relations, ranks to the
+    # study's own filtered test metrics through the same CLI
+    report = tmp_path / "evaluated.json"
+    assert main(["evaluate", best["checkpoint"], "--data", str(workspace["data"]),
+                 "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["metrics"] == best["test_metrics"]["filtered"]
 
 
 def test_hpo_study_validation_exits_2(workspace, tmp_path, capsys):
@@ -555,8 +560,10 @@ RECORD = {"trial_id": 0, "config": {}, "seed": 1, "status": "failed", "metric": 
      "trials.jsonl, line 1: not a trial record: metric: expected int or float or null"),
     ("trials.jsonl", json.dumps(RECORD) + "\n" + json.dumps(dict(RECORD, trial_id="zero")),
      "trials.jsonl, line 2: not a trial record: trial_id: expected int"),
+    ("trials.jsonl", json.dumps(dict(RECORD, status="completed", metric=0.99)) + "\n",
+     "trials.jsonl: trial 0: the config or seed is not the one this study draws for it"),
 ], ids=["manifest-malformed", "trials-cut-line", "trials-unknown-key", "trials-metric-str",
-        "trials-id-str"])
+        "trials-id-str", "trials-config-empty"])
 def test_hpo_damaged_state_file_exits_3(workspace, tmp_path, capsys, name, text, message):
     # resuming from a damaged study directory is a data error, not a traceback
     out = tmp_path / "o"
@@ -622,12 +629,24 @@ def test_report_non_result_json_exits_3(tmp_path, capsys):
     assert "not a result document" in capsys.readouterr().err
 
 
+ROW_SECTIONS = {
+    "config": {"model": {"kind": 5}, "training": {"approach": "slcwa", "loss": {"kind": "mrl"}},
+               "inverse_relations": False, "seed": 7, "dataset": {"train": "d/train.txt"}},
+    "metrics": {"filtered": {"both": {"realistic": {"hits_at_10": 0.5, "mrr": 0.3, "mr": 4.0,
+                                                    "amr": 0.8}}}},
+    "training": {"best_epoch": 1, "epochs_run": 2},
+    "timing": {"train_seconds": 0.1},
+}
+
+
 @pytest.mark.parametrize("sections, message", [
     ({"config": {}, "metrics": {}, "training": {}, "timing": {}}, "KeyError: 'filtered'"),
     ({"config": [], "metrics": [], "training": [], "timing": []}, "TypeError: "),
-], ids=["empty-objects", "lists"])
+    (ROW_SECTIONS, "model: expected str"),
+], ids=["empty-objects", "lists", "model-kind-int"])
 def test_report_malformed_sections_exit_3(tmp_path, capsys, sections, message):
-    # the four sections are there, but their contents build no report row
+    # the four sections are there, but their contents build no report row,
+    # or a row field has the wrong JSON type
     p = tmp_path / "result.json"
     p.write_text(json.dumps(sections))
     assert main(["report", str(p)]) == 3

@@ -164,6 +164,13 @@ def test_add_inverse_relations_twice_raises():
         add_inverse_relations(aug)
 
 
+def test_add_inverse_relations_keeps_one_augmented_store_per_store():
+    s = TripleStore.from_labeled_triples([("a", "r", "b")])
+    aug = add_inverse_relations(s)
+    assert add_inverse_relations(s) is aug
+    assert add_inverse_relations(TripleStore.from_labeled_triples([("a", "r", "b")])) is not aug
+
+
 def test_inverse_suffix_collision_raises():
     s = TripleStore.from_labeled_triples(
         [("a", "r", "b"), ("b", "r_inverse", "a")]

@@ -13,7 +13,6 @@ from kgembed.evaluation import (
     FIRST_CHUNK_ROWS,
     RANK_DEFINITIONS,
     SIDES,
-    RankingResult,
     SideRanks,
     compute_ranks,
     make_validation_callback,
@@ -209,12 +208,10 @@ def count_scoring_calls(model, monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_one_pass_equals_separate_filtered_and_unfiltered_rankings(nations, kind):
     model, params = nations_model(nations, kind)
-    fi = FilterIndex(nations)
-    both = compute_ranks(model, params, nations, filtered=(True, False), filter_index=fi)
+    both = compute_ranks(model, params, nations, filtered=(True, False))
     assert len(both) == 2
     for result, flag in zip(both, (True, False)):
-        assert_same_ranks(result, compute_ranks(model, params, nations, filtered=flag,
-                                                filter_index=fi))
+        assert_same_ranks(result, compute_ranks(model, params, nations, filtered=flag))
 
 
 def test_rank_test_split_scores_each_chunk_once(nations, monkeypatch):
@@ -250,10 +247,8 @@ def test_chunks_are_sized_from_the_bytes_the_chunk_before_held(nations, monkeypa
 @pytest.mark.parametrize("kind", ["distmult", "conve", "convkb"])
 def test_sized_chunks_rank_like_single_rows(nations, kind):
     model, params = nations_model(nations, kind)
-    fi = FilterIndex(nations)
-    sized = compute_ranks(model, params, nations, filtered=(True, False), filter_index=fi)
-    single = compute_ranks(model, params, nations, filtered=(True, False), filter_index=fi,
-                           batch_size=1)
+    sized = compute_ranks(model, params, nations, filtered=(True, False))
+    single = compute_ranks(model, params, nations, filtered=(True, False), batch_size=1)
     for a, b in zip(sized, single):
         assert_same_ranks(a, b)
 
@@ -264,13 +259,12 @@ def test_sized_chunks_hold_no_more_than_64_rows(nations, kind):
     # the sized default stays at the first chunk's size; Python's own small
     # allocations move the peak of two identical calls by up to a few KiB
     model, params = nations_model(nations, kind)
-    fi = FilterIndex(nations)
-    compute_ranks(model, params, nations, filter_index=fi)  # warm-up
+    compute_ranks(model, params, nations)  # warm-up, which also builds the index
     peaks = []
     for batch_size in (None, 64):
         tracemalloc.start()
         try:
-            compute_ranks(model, params, nations, filter_index=fi, batch_size=batch_size)
+            compute_ranks(model, params, nations, batch_size=batch_size)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -293,7 +287,7 @@ def test_metrics_recompute_from_rank_arrays():
     model, params = int_model(rng, 12, 3)
     res = compute_ranks(model, params, store, split="test", filtered=True)
     metrics = res.metrics()
-    assert set(res.side_names()) == {"head", "tail", "both"}
+    assert set(metrics) == {"head", "tail", "both"}
     for side in ("head", "tail", "both"):
         sr = res._side_ranks(side)
         for d in RANK_DEFINITIONS:
@@ -325,11 +319,10 @@ def test_get_accessor_and_single_side_selection():
     model, params = int_model(rng, 6, 2)
     full = compute_ranks(model, params, store, split="valid")
     assert full.get("mr", side="head") == full.metrics()["head"]["realistic"]["mr"]
-    res = RankingResult({"tail": full.sides["tail"]}, "valid", True)
-    assert res.side_names() == ["tail"]
-    assert res.get("mr", side="tail", definition="optimistic") == res.metrics()["tail"]["optimistic"]["mr"]
+    assert full.get("mr", side="tail", definition="optimistic") == full.metrics()["tail"]["optimistic"]["mr"]
+    assert full.get() == full.metrics()["both"]["realistic"]["hits_at_10"]
     with pytest.raises(KeyError):
-        res.get("mr", side="head")
+        full.get("mr", side="neither")
 
 
 def test_json_and_csv_output(tmp_path):
@@ -358,29 +351,6 @@ def test_validation_callback_returns_selected_metric():
         "mrr", side="both", definition="realistic"
     )
     assert cb(params) == want
-
-
-def test_given_filter_index_is_used_and_matches_a_fresh_build():
-    rng = np.random.default_rng(11)
-    store = make_store(rng, 8, 2, n_train=30, n_eval=10)
-    model, params = int_model(rng, 8, 2)
-    fresh = compute_ranks(model, params, store, split="test")
-    shared = compute_ranks(model, params, store, split="test",
-                           filter_index=FilterIndex(store))
-    for side in ("head", "tail"):
-        for name in ("optimistic", "pessimistic", "candidates"):
-            assert np.array_equal(getattr(fresh.sides[side], name),
-                                  getattr(shared.sides[side], name))
-    # a train-only index filters only the training triples
-    train_only = compute_ranks(model, params, store, split="test",
-                               filter_index=FilterIndex(store, splits=("train",)))
-    for side in ("head", "tail"):
-        want = brute_force_side(model, params, store, "test", side, True,
-                                splits=("train",))
-        sr = train_only.sides[side]
-        assert np.array_equal(sr.optimistic, want[0])
-        assert np.array_equal(sr.pessimistic, want[1])
-        assert np.array_equal(sr.candidates, want[2])
 
 
 def test_validation_callback_builds_its_filter_index_once(monkeypatch):

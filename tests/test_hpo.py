@@ -22,8 +22,8 @@ from kgembed.hpo import (
     sample_config,
     trial_document,
 )
-from kgembed.models import MAX_WIDTH, load_checkpoint
-from kgembed.pipeline import (build_model, build_training_config, execute_run,
+from kgembed.models import MAX_WIDTH, InteractionSpec, build_interaction, load_checkpoint
+from kgembed.pipeline import (DataError, build_model, build_training_config, execute_run,
                               normalize_config)
 from kgembed.sampling import derive_seed, rng_for
 from kgembed.training import DivergenceError
@@ -42,6 +42,12 @@ TOY_SPLITS = (
 
 def toy_store():
     return TripleStore.from_labeled_triples(*TOY_SPLITS)
+
+
+def stopping(frequency=50, patience=100):
+    """A study's early-stopping section, as random_search builds it."""
+    return {"enabled": True, "frequency": frequency, "patience": patience,
+            "metric": "hits_at_10"}
 
 
 def tiny_space(**kw):
@@ -177,7 +183,7 @@ def test_every_sample_builds_a_valid_training_config(tmp_path):
     paths = write_store(tmp_path)
     for _ in range(300):
         cfg = sample_config(space, rng)
-        doc = trial_document(cfg, seed=0)
+        doc = trial_document(cfg, stopping(), seed=0)
         run = normalize_config(dict(doc, dataset=paths, output_dir=str(tmp_path / "out")))
         assert build_training_config(run) == build_training_config(doc)
         tconf = build_training_config(doc)
@@ -232,7 +238,7 @@ def test_trial_record_round_trip():
 
 def test_trial_document_clamps_eval_frequency():
     cfg = sample_config(tiny_space(num_epochs=5), rng_for(0, "trial-0/config"))
-    doc = trial_document(cfg, seed=1, eval_frequency=50, patience=3)
+    doc = trial_document(cfg, stopping(50, 3), seed=1)
     # the document carries the study's settings; the run path clamps them
     assert doc["early_stopping"]["frequency"] == 50
     tconf = build_training_config(doc)
@@ -240,24 +246,27 @@ def test_trial_document_clamps_eval_frequency():
     assert tconf.patience == 5         # lifted to stay >= frequency
     assert tconf.num_epochs == 5
     assert tconf.seed == 1
-    doc = trial_document(cfg, seed=1, eval_frequency=2, patience=3)
+    doc = trial_document(cfg, stopping(2, 3), seed=1)
     assert build_training_config(doc).eval_frequency == 2
     assert build_training_config(doc).patience == 3
 
 
 def test_trial_document_uses_the_right_store():
     store = toy_store()
-    stores = {False: store, True: add_inverse_relations(store)}
+    augmented = add_inverse_relations(store)
     cfg = sample_config(tiny_space(), rng_for(0, "trial-0/config"))
-    doc = trial_document(cfg, seed=0)
-    assert build_model(doc, stores[False])[0].num_relations == store.num_relations
-    assert build_model(doc, stores[True])[0].num_relations == 2 * store.num_relations
-    assert build_model(doc, stores[False])[0].d_e == cfg["embedding_dim"]
-    # run_trial trains on the store its configuration asks for
-    for inverse in (False, True):
-        record, params = run_trial(0, dict(cfg, inverse=inverse), stores, seed=2)
+    doc = trial_document(cfg, stopping(), seed=0)
+    assert build_model(doc, store)[0].num_relations == store.num_relations
+    assert build_model(doc, augmented)[0].num_relations == 2 * store.num_relations
+    assert build_model(doc, store)[0].d_e == cfg["embedding_dim"]
+    # run_trial trains on the store its configuration asks for: the dataset's
+    # own, or the augmented store that one keeps
+    for inverse, want in ((False, store), (True, augmented)):
+        record, (run_store, model, params) = run_trial(
+            0, dict(cfg, inverse=inverse), store, stopping(), seed=2)
         assert record.status == "completed"
-        assert params["relation"].shape[0] == stores[inverse].num_relations
+        assert run_store is want
+        assert model.spec.num_relations == params["relation"].shape[0] == want.num_relations
 
 
 # ---------------------------------------------------------------------------
@@ -274,51 +283,44 @@ def write_store(tmp_path):
     return paths
 
 
-def stores_pair():
-    store = toy_store()
-    return {False: store, True: add_inverse_relations(store)}
-
-
 def test_run_trial_completes_with_metric():
-    stores = stores_pair()
     cfg = sample_config(tiny_space(), rng_for(5, "trial-0/config"))
-    record, params = run_trial(0, cfg, stores, seed=derive_seed(5, "trial-0/train"))
+    record, trained = run_trial(0, cfg, toy_store(), stopping(),
+                                seed=derive_seed(5, "trial-0/train"))
     assert record.status == "completed"
     assert record.metric is not None and 0.0 <= record.metric <= 1.0
     assert record.epochs_run == 2
     assert record.error is None
-    assert params is not None
+    assert trained is not None
 
 
 def test_run_trial_turns_exceptions_into_failed_records():
-    stores = stores_pair()
     cfg = sample_config(tiny_space(), rng_for(5, "trial-0/config"))
     cfg["embedding_dim"] = 0  # invalid spec
-    record, params = run_trial(1, cfg, stores, seed=0)
+    record, trained = run_trial(1, cfg, toy_store(), stopping(), seed=0)
     assert record.status == "failed"
-    assert params is None
+    assert trained is None
     assert record.metric is None
     assert record.error == "ConfigError: model: d_e must lie in [1, 2147483647]"
 
 
 def test_run_trial_deadline_yields_budget_exhausted():
-    stores = stores_pair()
     cfg = sample_config(tiny_space(num_epochs=50), rng_for(5, "trial-0/config"))
-    record, params = run_trial(
-        0, cfg, stores, seed=3, eval_frequency=1, patience=30,
+    record, trained = run_trial(
+        0, cfg, toy_store(), stopping(1, 30), seed=3,
         deadline=time.monotonic() - 1.0,
     )
     assert record.status == "budget-exhausted"
     assert record.epochs_run == 1     # the first epoch finishes, then the cut
     assert record.metric is not None  # epoch-boundary evaluation still ran
-    assert params is not None
+    assert trained is not None
 
 
 def test_run_trial_is_deterministic():
-    stores = stores_pair()
+    store = toy_store()
     cfg = sample_config(tiny_space(), rng_for(8, "trial-2/config"))
-    r1, p1 = run_trial(2, cfg, stores, seed=123)
-    r2, p2 = run_trial(2, cfg, stores, seed=123)
+    r1, (_, _, p1) = run_trial(2, cfg, store, stopping(), seed=123)
+    r2, (_, _, p2) = run_trial(2, cfg, store, stopping(), seed=123)
     assert r1.metric == r2.metric
     for k in p1:
         assert np.array_equal(p1[k], p2[k])
@@ -330,15 +332,13 @@ def test_trial_and_run_of_the_same_document_agree_exactly(tmp_path, trial):
     # by `kgembed train`'s execute_run on the same files, gives the same bits
     paths = write_store(tmp_path)
     store = TripleStore.from_files(paths["train"], paths["valid"], paths["test"])
-    stores = {False: store, True: add_inverse_relations(store)}
     space = tiny_space(models=("distmult", "transe", "complex"), num_epochs=3,
                        samplers=("uniform", "bernoulli"))
     cfg = sample_config(space, rng_for(12, f"trial-{trial}/config"))
     seed = derive_seed(12, f"trial-{trial}/train")
-    record, params = run_trial(trial, cfg, stores, seed=seed, eval_frequency=1,
-                               patience=2)
+    record, (_, _, params) = run_trial(trial, cfg, store, stopping(1, 2), seed=seed)
     assert record.status == "completed"
-    doc = trial_document(cfg, seed=seed, eval_frequency=1, patience=2)
+    doc = trial_document(cfg, stopping(1, 2), seed=seed)
     result = execute_run(normalize_config(
         dict(doc, dataset=paths, output_dir=str(tmp_path / "run"))))
     assert result["training"]["best_validation_metric"] == record.metric
@@ -367,10 +367,12 @@ def test_random_search_end_to_end():
     scored = [r for r in result.records if r.metric is not None]
     assert result.best.metric == max(r.metric for r in scored)
     assert result.retrained is False  # the winner's params were still in memory
-    # the reported test metrics are reproducible from the returned params
-    check_store = stores_pair()[bool(result.best.config["inverse"])]
-    _, model = build_model(trial_document(result.best.config, seed=0), check_store)
-    again = compute_ranks(model, result.best_params, check_store,
+    # the reported test metrics are reproducible from the returned params,
+    # ranked on the store the winner trained on
+    assert result.best_store is (add_inverse_relations(store) if result.best.config["inverse"]
+                                 else store)
+    model = build_interaction(InteractionSpec.from_dict(result.best_spec))
+    again = compute_ranks(model, result.best_params, result.best_store,
                           split="test", filtered=True).metrics()
     assert again == result.test_metrics["filtered"]
     assert set(result.test_metrics) == {"filtered", "unfiltered"}
@@ -425,26 +427,51 @@ def test_study_with_no_completed_trials_raises(monkeypatch):
                       eval_frequency=1, patience=2)
 
 
+def count_builds(monkeypatch):
+    """(augmented stores, (store id, splits) of each FilterIndex) built from
+    now on."""
+    augmented, indexes = [], []
+    store_init, index_init = TripleStore.__init__, FilterIndex.__init__
+
+    def counting_store_init(self, *args, **kwargs):
+        store_init(self, *args, **kwargs)
+        if self.inverse_augmented:
+            augmented.append(self)
+
+    def counting_index_init(self, store, splits=SPLITS):
+        indexes.append((id(store), tuple(splits)))
+        index_init(self, store, splits)
+
+    monkeypatch.setattr(TripleStore, "__init__", counting_store_init)
+    monkeypatch.setattr(FilterIndex, "__init__", counting_index_init)
+    return augmented, indexes
+
+
 def test_study_builds_each_filter_index_at_most_once(monkeypatch):
-    # trials, their validations and the final test ranking share each
-    # store's indexes: at most one per (store, splits) over the whole study
-    builds = []
-    init = FilterIndex.__init__
-
-    def counting_init(self, store, splits=SPLITS):
-        builds.append((id(store), tuple(splits)))
-        init(self, store, splits)
-
-    monkeypatch.setattr(FilterIndex, "__init__", counting_init)
+    # trials, their validations and the final test ranking share one
+    # augmented store and each store's indexes: at most one per (store,
+    # splits) over the whole study
+    store = toy_store()
+    augmented, builds = count_builds(monkeypatch)
     space = tiny_space(approaches=("slcwa", "lcwa"), lcwa_losses=("bcel",),
                        samplers=("bernoulli",), inverse_choices=(False, True))
-    result = random_search(space, toy_store(), budget=Budget(max_trials=6),
+    result = random_search(space, store, budget=Budget(max_trials=6),
                            eval_frequency=1, patience=2, workers=1)
     drawn = {(r.config["approach"], r.config["inverse"]) for r in result.records}
     assert {inverse for _, inverse in drawn} == {False, True}
     assert {approach for approach, _ in drawn} == {"slcwa", "lcwa"}
+    assert augmented == [add_inverse_relations(store)]
     assert len(builds) == len(set(builds))
     assert {splits for _, splits in builds} == {SPLITS, ("train",)}
+    assert {store_id for store_id, _ in builds} <= {id(store), id(augmented[0])}
+
+
+def test_study_without_inverse_relations_builds_no_augmented_store(monkeypatch):
+    augmented, _ = count_builds(monkeypatch)
+    result = random_search(tiny_space(inverse_choices=(False,)), toy_store(),
+                           budget=Budget(max_trials=2), eval_frequency=1, patience=2)
+    assert len(result.records) == 2
+    assert augmented == []
 
 
 def test_exhausted_study_budget_prevents_new_trials():
@@ -525,6 +552,20 @@ def test_resume_reruns_budget_exhausted_trials(tmp_path):
     assert len(lines) == 2  # append-only: the cut record stays, last wins
     assert lines[0]["status"] == "budget-exhausted"
     assert lines[1]["status"] == "completed"
+
+
+def test_resume_refuses_a_record_its_trial_does_not_draw(tmp_path):
+    # trial i's config and seed are pure functions of the space and master
+    # seed, so a record holding others is a damaged file, not a trial to trust
+    records_path = tmp_path / "trials.jsonl"
+    cfg = sample_config(tiny_space(), rng_for(3, "trial-0/config"))
+    seed = derive_seed(3, "trial-0/train")
+    for config, record_seed in ((dict(cfg, model="transe"), seed), ({}, seed), (cfg, seed + 1)):
+        record = TrialRecord(0, config, record_seed, "completed", 0.9, 1, 1, 0.5)
+        records_path.write_text(json.dumps(record.to_json()) + "\n")
+        with pytest.raises(DataError, match=f"{records_path}: trial 0: the config or seed"):
+            random_search(tiny_space(), toy_store(), budget=Budget(max_trials=1),
+                          master_seed=3, records_path=str(records_path))
 
 
 def test_manifest_mismatch_refuses_resume(tmp_path):

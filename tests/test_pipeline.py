@@ -331,7 +331,6 @@ def fuzzed(doc, rng):
 def test_fuzzed_run_documents_normalize_or_raise_config_error(data_dir, tmp_path):
     base = full_run_doc(data_dir, tmp_path / "out")
     store = load_store(normalize_config(base)["dataset"])
-    stores = {False: store, True: add_inverse_relations(store)}
     rng = np.random.default_rng(20)
     outcomes = {"normalized": 0, "rejected": 0, "built": 0}
     for _ in range(1000):
@@ -343,7 +342,8 @@ def test_fuzzed_run_documents_normalize_or_raise_config_error(data_dir, tmp_path
             continue
         outcomes["normalized"] += 1
         try:
-            build_model(cfg, stores[cfg["inverse_relations"]])
+            build_model(cfg, add_inverse_relations(store) if cfg["inverse_relations"]
+                        else store)
             build_training_config(cfg)
         except ConfigError as e:
             assert e.problems
@@ -355,7 +355,6 @@ def test_fuzzed_run_documents_normalize_or_raise_config_error(data_dir, tmp_path
 def test_fuzzed_study_documents_normalize_or_raise_config_error(data_dir, tmp_path):
     base = full_study_doc(data_dir, tmp_path / "out")
     store = load_store(normalize_study(base)["dataset"])
-    stores = {False: store, True: add_inverse_relations(store)}
     rng = np.random.default_rng(21)
     outcomes = {"normalized": 0, "rejected": 0}
     for _ in range(1200):
@@ -368,9 +367,10 @@ def test_fuzzed_study_documents_normalize_or_raise_config_error(data_dir, tmp_pa
         outcomes["normalized"] += 1
         # every trial of an accepted study builds its model and training
         cfg = sample_config(study["space"], rng)
-        doc = trial_document(cfg, seed=0, eval_frequency=study["eval_frequency"],
-                             patience=study["patience"])
-        build_model(doc, stores[doc["inverse_relations"]])
+        stopping = {"enabled": True, "frequency": study["eval_frequency"],
+                    "patience": study["patience"], "metric": study["metric"]}
+        doc = trial_document(cfg, stopping, seed=0)
+        build_model(doc, add_inverse_relations(store) if doc["inverse_relations"] else store)
         build_training_config(doc)
         if study["patience"] >= study["eval_frequency"]:
             # the run path clamps a trial's early stopping; unclamped, the

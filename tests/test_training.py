@@ -363,7 +363,7 @@ def test_train_without_validation_runs_to_epoch_cap():
     assert result.epochs_run == 8
     assert result.stopped == "epoch_cap"
     assert result.best_epoch == 8
-    assert np.isnan(result.best_metric)
+    assert result.best_metric is None
     assert len(result.losses) == 8
     assert len(result.trace) == 8
     assert result.params is params  # no checkpoint, the live params come back
