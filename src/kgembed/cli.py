@@ -22,7 +22,7 @@ import logging
 import os
 import sys
 
-from .datasets import TripleStore, add_inverse_relations
+from .datasets import SPLITS, TripleStore, add_inverse_relations
 from .evaluation import RANK_DEFINITIONS, compute_ranks
 from .hpo import StudyError, random_search
 from .models import InteractionSpec, build_interaction, load_checkpoint, save_checkpoint
@@ -144,7 +144,7 @@ def cmd_hpo(args):
     out_dir = os.environ.get("KGEMBED_OUTPUT_DIR") or study["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     result = random_search(
-        study["space"], load_store(study["dataset"]),
+        study["space"], load_store(study["dataset"], SPLITS),
         budget=study["budget"],
         master_seed=study["seed"],
         metric=study["metric"],

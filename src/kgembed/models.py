@@ -21,23 +21,15 @@ tables it reads (`entity_tables`, `relation_tables`) and either defines
 broadcast against each other (N = 1 for single triples, E for the candidate
 side), or, when its score is an inner product <q(h, r), k(t)>, derives from
 ContextInteraction and defines `tail_query`, optionally `head_query` and
-`keys`, so that both all-entity sides are one matmul.
-
-The relation-width rule: in a (B, N) call, entity rows are gathered as
-(B, N, ...) and relation rows once per row, as (B, 1, ...), when the model's
-relation row is wider than its entity row (SE, TransH, TransR, RESCAL and
-NTN at their default widths), so that a d×d matrix is not copied per
-triple. Otherwise the relation ids are broadcast to (B, N) first: an operand
-of the same shape as the entity rows keeps the cheap scores off
-broadcasting loops and their gradient reductions. The rule reads only the
-table shapes.
+`keys`, so that both all-entity sides are one matmul. Relation rows are
+always (B, 1, ...): the triples of a (B, N) call's row share its relation,
+so per-relation work is done once per row.
 
 Dimensions follow the usual conventions: d_e entity dim, d_r relation dim,
 k an extra per-kind width (TransD projection size, NTN slice count, ERMLP
 hidden width).
 """
 
-import itertools
 import json
 import math
 import struct
@@ -214,21 +206,28 @@ def _column(x):
 
 def _linear(g, xs, weight, contract, bias):
     """bias + sum of contract(x, w) over the operands x of `xs` and their
-    blocks w of `weight`'s last axis. Consecutive operands of one shape meet
-    their joint block in one contraction, and the terms are added smallest
-    first, so one addition builds the (B, E, ...) sum."""
-    parts, start = [bias], 0
-    for _, run in itertools.groupby(xs, key=lambda x: x.shape):
-        run = list(run)
-        stop = start + len(run) * run[0].shape[-1]
-        x = run[0] if len(run) == 1 else g.concat(run, axis=-1)
-        parts.append(contract(x, weight if len(run) == len(xs) else weight[..., start:stop]))
-        start = stop
+    blocks w of `weight`'s last axis. Operands of one shape meet their joint
+    block in one contraction, and the terms are added smallest first, so one
+    addition builds the (B, E, ...) sum."""
+    groups, start = {}, 0
+    for x in xs:
+        groups.setdefault(x.shape, []).append((x, slice(start, start + x.shape[-1])))
+        start += x.shape[-1]
+    parts = [bias]
+    for run in groups.values():
+        x = run[0][0] if len(run) == 1 else g.concat([x for x, _ in run], axis=-1)
+        cols = np.r_[tuple(span for _, span in run)]
+        parts.append(contract(x, weight if len(run) == len(xs) else weight[..., cols]))
     parts.sort(key=lambda p: p.value.size)
     total = parts[0]
     for part in parts[1:]:
         total = total + part
     return total
+
+
+def _spread(x, lead):
+    """Node x broadcast to the leading shape `lead` (x itself if it has it)."""
+    return x if x.shape[:-1] == lead else x + np.zeros(lead + (1,))
 
 
 def _one(nodes):
@@ -246,11 +245,6 @@ def _grid(ids):
 def _rows(g, P, names, ids):
     """(B, N, ...) rows of the named tables at (B, N) ids."""
     return _one(g.gather(P[n], ids) for n in names)
-
-
-def _row_width(P, names):
-    """Values in one row of the named tables together."""
-    return sum(_size(P[n].shape[1:]) for n in names)
 
 
 class Interaction:
@@ -290,21 +284,16 @@ class Interaction:
             return _one(P[n].reshape((1,) + P[n].shape) for n in self.entity_tables)
         return _rows(g, P, self.entity_tables, _grid(ids))
 
-    def _relations(self, g, P, ids, n=1):
-        """Rows at the (B,) relation ids of n triples each: (B, 1, ...) when
-        the model's relation row is wider than its entity row, else one row
-        per triple, (B, n, ...)."""
-        ids = _grid(ids)
-        if _row_width(P, self.relation_tables) <= _row_width(P, self.entity_tables):
-            ids = np.broadcast_to(ids, (ids.shape[0], n))
-        return _rows(g, P, self.relation_tables, ids)
+    def _relations(self, g, P, ids):
+        """(B, 1, ...) rows at (B,) ids: the triples of a (B, N) call's row b
+        share the relation ids[b], so its rows are gathered once per row."""
+        return _rows(g, P, self.relation_tables, _grid(ids))
 
     def _triples(self, g, P, h_ids, r_ids, t_ids):
         """The (h, r, t) representations of id triples: rows at (B,) ids, or
         at (B, N) h and t ids whose row b shares the relation r_ids[b]; a
         side whose ids are None is every entity, as (1, E, ...) views."""
-        n = 1 if h_ids is None or t_ids is None else _grid(h_ids).shape[1]
-        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids, n)
+        h, r = self._entities(g, P, h_ids), self._relations(g, P, r_ids)
         return h, r, self._entities(g, P, t_ids)
 
     def score_triples(self, g, P, h_ids, r_ids, t_ids):
@@ -691,9 +680,11 @@ class TuckER(ContextInteraction):
         ]
 
     def tail_query(self, g, P, h, r):
+        # the core meets r first: one (d_e, d_e) matrix per relation row,
+        # which a positive's negatives share
         x = h * P["scale0"] + P["shift0"]
-        xw = g.einsum("bnp,pqe->bnqe", x, P["core"])
-        y = g.einsum("bnqe,bnq->bne", xw, r)
+        wr = g.einsum("pqe,bnq->bnpe", P["core"], r)
+        y = g.einsum("bnp,bnpe->bne", x, wr)
         return y * P["scale1"] + P["shift1"]
 
     def head_query(self, g, P, r, t):
@@ -880,6 +871,10 @@ class ConvKB(Interaction):
 
     def interaction(self, g, P, h, r, t):
         tau, width = self.spec.tau, self.spec.d_e * self.spec.tau
+        if h.shape == t.shape:
+            # a positive and its negatives: r joins their (B, N) grid, so
+            # the maps are one matmul
+            r = _spread(r, h.shape[:-1])
         maps = _linear(  # (..., d, n) columns against their (tau, n) filter columns
             g, [_column(h), _column(r), _column(t)], P["filters"],
             lambda x, w: (x.reshape((-1, w.shape[1])) @ w.T).reshape(x.shape[:-1] + (tau,)),
@@ -926,10 +921,7 @@ class ConvE(ContextInteraction):
         m, n = s.conv_height, s.conv_width
         mo, no = s.conv_out
         lead = np.broadcast_shapes(h.shape[:-1], r.shape[:-1])
-        halves = [
-            (x if x.shape[:-1] == lead else x + np.zeros(lead + (1,))).reshape((-1, m // 2, n))
-            for x in (h, r)
-        ]
+        halves = [_spread(x, lead).reshape((-1, m // 2, n)) for x in (h, r)]
         x = g.concat(halves, axis=1) * P["scale_in"][0] + P["shift_in"][0]
         c = g.conv2d(x, P["filters"])  # (B·N, tau, mo, no)
         c = c * P["scale_conv"].reshape((1, s.tau, 1, 1)) + P["shift_conv"].reshape(

@@ -310,16 +310,20 @@ def load_study(path):
     return normalize_study(_read_json(path, "study")[0])
 
 
-def load_store(dataset):
+_SPLIT_NAMES = {"train": "training", "valid": "validation", "test": "test"}
+
+
+def load_store(dataset, splits=("train",)):
     """TripleStore from a config's dataset section; DataError on failure or
-    when the training split has no triples."""
+    when one of `splits`, the splits the caller reads, has no triples."""
     try:
         store = TripleStore.from_files(dataset["train"], dataset["valid"],
                                        dataset["test"])
     except (OSError, ValueError) as e:
         raise DataError(str(e))
-    if not store.num_triples("train"):
-        raise DataError(f"{dataset['train']}: the training split has no triples")
+    for split in splits:
+        if not store.num_triples(split):
+            raise DataError(f"{dataset[split]}: the {_SPLIT_NAMES[split]} split has no triples")
     return store
 
 
@@ -418,7 +422,10 @@ def execute_run(cfg, *, config_bytes=None, output_dir=None):
     t0 = time.monotonic()
 
     trace_path = os.path.join(out_dir, "trace.jsonl")
-    store, model, result = train_run(cfg, load_store(cfg["dataset"]), trace_path=trace_path)
+    # the test split is always ranked, the validation split only to stop early
+    splits = SPLITS if cfg["early_stopping"]["enabled"] else ("train", "test")
+    store, model, result = train_run(cfg, load_store(cfg["dataset"], splits),
+                                     trace_path=trace_path)
     train_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()

@@ -187,6 +187,34 @@ def test_train_degenerate_dataset_exits_3(tmp_path, capsys, train, message):
     assert err.startswith("data error: ") and message in err, err
 
 
+@pytest.mark.parametrize("command", ["train", "hpo"])
+@pytest.mark.parametrize("split, name", [("valid", "validation"), ("test", "test")])
+def test_empty_ranked_split_exits_3_before_training(tmp_path, capsys, command, split, name):
+    # early stopping ranks the validation split and every run ranks the test
+    # split: an empty one used to train on and report NaN metrics (train) or
+    # end in a traceback (hpo)
+    data = write_dataset(tmp_path / "data", **{split: []})
+    out = tmp_path / "out"
+    doc = (run_config if command == "train" else study_doc)(data, out)
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {data / split}.txt: the {name} split has no triples\n", err
+    assert not (out / "trace.jsonl").exists() and not (out / "trials.jsonl").exists()
+
+
+def test_train_without_early_stopping_ignores_an_empty_validation_split(tmp_path):
+    data = write_dataset(tmp_path / "data", valid=[])
+    doc = run_config(data, tmp_path / "out")
+    doc["early_stopping"]["enabled"] = False
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(doc))
+    assert main(["train", str(p)]) == 0
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert result["training"]["epochs_run"] == 3
+
+
 def test_train_divergence_exits_4(tmp_path, capsys):
     data = write_dataset(tmp_path / "data")
     doc = run_config(data, tmp_path / "out")

@@ -286,6 +286,27 @@ def test_pointwise_slcwa_loss_reads_the_score_block(monkeypatch):
     assert not ops & {"concat", "slice"}, ops
 
 
+def test_tucker_slcwa_step_contracts_the_core_once_per_positive(monkeypatch):
+    # the core meets each positive's relation row once, so no einsum2 node
+    # of the step holds a (d, d) matrix per scored triple: B·(1+K)·d·d values
+    from kgembed.autodiff import Graph
+
+    d, K = 8, 3
+    store, model, params = toy_model("tucker", d=d)
+    config = TrainingConfig(approach="slcwa", loss=LossSpec("bcel"), batch_size=16,
+                            num_negatives=K)
+    swept, backward = [], Graph.backward
+    monkeypatch.setattr(Graph, "backward",
+                        lambda g, loss: swept.append(g) or backward(g, loss))
+    train_epoch(model, params, store, config, make_optimizer(config.optimizer, params),
+                rng_for(0, "training"), sampler=NegativeSampler(store))
+    (g,) = swept
+    B = store.num_triples("train")
+    sizes = [node.value.size for node in g.nodes if node.op == "einsum2"]
+    assert max(sizes) == B * d * d
+    assert B * (1 + K) * d * d not in sizes
+
+
 def test_epoch_raises_when_everything_diverged():
     store, model, params = toy_model()
     for name in params:
