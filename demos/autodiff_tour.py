@@ -33,9 +33,10 @@ print("\nbias grad sums over the broadcast axis:", b.grad)
 
 g = Graph()
 a = g.leaf(np.array([[1.0, -2.0], [0.5, 3.0]]))
-# softmax cross entropy against all-zero labels is the row's logsumexp
-scores = g.softmax_xent(a, np.zeros((2, 2)))
-print("\nlogsumexp per row:", scores.value)
+# softmax cross entropy takes its labels by position: row 0 is labeled at
+# column 1 and row 1 at column 0, so each row gives logsumexp - that score
+xent = g.softmax_xent(a, rows=[0, 1], cols=[1, 0])
+print("\ncross entropy per row:", xent.value)
 g.backward(g.softplus(a).sum())
 sig = a.grad  # the derivative of softplus is the sigmoid
 print("sigmoid stays in (0, 1):", sig.min() > 0, sig.max() < 1)

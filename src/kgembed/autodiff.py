@@ -29,6 +29,10 @@ and each operand must have one axis per label of its spec.
 conv2d is im2col: the (kr, kc) windows become the rows of a (windows,
 kr·kc) matrix, so the forward and both gradients are matmuls, the input
 gradient followed by kr·kc shifted adds.
+softmax_xent takes its labels by position: a per-row base plus weights at
+distinct (row, col) positions, the form a smoothed, normalized multi-hot row
+has. Its forward keeps exp(x - max) and the row sums, and its VJP writes
+the score gradient into that buffer, so it builds no (B, E) label array.
 
 Memory: a step's large temporaries are freed when its graph is dropped, and
 glibc would hand them back to the kernel, so the next step faults them in
@@ -226,6 +230,18 @@ def _fw_conv2d(x, f):
     return np.moveaxis(y.reshape(x.shape[:-2] + (mo, no, F)), -1, -3)
 
 
+def _fw_softmax_xent(at, x):
+    # per-row logsumexp(x) - labels . x, the labels base_b everywhere plus
+    # the weights at (rows, cols); keeps exp(x - max) and its row sums
+    rows = at["rows"]
+    m = np.max(x, axis=1)
+    e = np.subtract(x, m[:, None])
+    np.exp(e, out=e)
+    at["exp"], at["sum"] = e, np.sum(e, axis=1)
+    dot = np.bincount(rows, weights=at["weights"] * x[rows, at["cols"]], minlength=x.shape[0])
+    return m + np.log(at["sum"]) - (at["base"] * np.sum(x, axis=1) + dot)
+
+
 _FORWARD = {
     "add": lambda at, a, b: a + b,
     "sub": lambda at, a, b: a - b,
@@ -251,21 +267,11 @@ _FORWARD = {
     "tanh": lambda at, a: np.tanh(a),
     "relu": lambda at, a: np.maximum(a, 0.0),
     "softplus": lambda at, a: _softplus(a),
-    "softmax_xent": lambda at, x, labels: _fw_softmax_xent(at, x, labels),
+    "softmax_xent": _fw_softmax_xent,
     "circcorr": lambda at, a, b: _circcorr(a, b),
     "reverse_roll": lambda at, a: _rev_mod(a),
     "conv2d": lambda at, x, f: _fw_conv2d(x, f),
 }
-
-
-def _fw_softmax_xent(at, x, labels):
-    # per-row logsumexp(x) - labels . x; the (B, 1) logsumexp is kept for the VJP
-    m = np.max(x, axis=1, keepdims=True)
-    e = np.subtract(x, m)
-    np.exp(e, out=e)
-    lse = m + np.log(np.sum(e, axis=1, keepdims=True))
-    at["lse"] = lse
-    return lse[:, 0] - np.einsum("be,be->b", labels, x)
 
 
 def _rev_mod(a):
@@ -379,13 +385,15 @@ def _vjp_pnorm(g, node, a):
     return (gg * a / np.maximum(y, _TINY),)
 
 
-def _vjp_softmax_xent(g, node, x, labels):
-    # (softmax(x) - labels) * g, built in one buffer
-    out = np.subtract(x, node.attrs["lse"])
-    np.exp(out, out=out)
-    out -= labels
-    out *= g[:, None]
-    return out, None
+def _vjp_softmax_xent(g, node, x):
+    # (softmax(x) - labels) * g, written into the kept exp(x - max)
+    at = node.attrs
+    rows = at["rows"]
+    out = at.pop("exp")
+    out *= (g / at["sum"])[:, None]
+    out -= (at["base"] * g)[:, None]
+    out[rows, at["cols"]] -= at["weights"] * g[rows]
+    return (out,)
 
 
 def _vjp_conv2d(g, node, x, f):
@@ -620,19 +628,30 @@ class Graph:
     def softplus(self, a):
         return self.apply("softplus", a)
 
-    def softmax_xent(self, scores, labels):
-        """Per-row softmax cross entropy of (B, E) scores against a label array.
-
-        Returns the (B,) node logsumexp(scores_b) - labels_b . scores_b; the
-        labels are a constant and receive no gradient.
+    def softmax_xent(self, scores, rows, cols, weights=1.0, epsilon=0.0):
+        """Per-row softmax cross entropy of (B, E) scores against labels by
+        position: sampling.smooth_labels(W, epsilon, E, normalize=True) for
+        the (B, E) array W that holds the positive `weights` at the distinct
+        positions (rows, cols), at least one in every row, and 0 elsewhere.
+        W is never built: a row's label is (a + c * W_b) / z_b, with a =
+        epsilon / (E - 1), c = 1 - epsilon - a and z_b = E * a + c * sum(W_b).
+        Returns the (B,) node logsumexp(scores_b) - labels_b . scores_b.
         """
-        labels = self.constant(labels)
-        if scores.value.ndim != 2 or labels.shape != scores.shape:
-            raise ValueError(
-                f"softmax_xent needs (B, E) scores and labels of the same shape, "
-                f"got {scores.shape} and {labels.shape}"
-            )
-        return self.apply("softmax_xent", scores, labels)
+        if scores.value.ndim != 2:
+            raise ValueError(f"softmax_xent needs (B, E) scores, got {scores.shape}")
+        if not 0 <= epsilon < 1:
+            raise ValueError(f"label smoothing must lie in [0, 1), got {epsilon}")
+        (B, E), rows = scores.shape, np.asarray(rows, dtype=np.intp)
+        weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), rows.shape)
+        mass = np.bincount(rows, weights=weights, minlength=B)
+        if mass.size != B or not np.all(mass > 0):
+            raise ValueError(f"softmax_xent needs a label position in every row, rows in [0, {B})")
+        a = epsilon / (E - 1) if epsilon > 0 else 0.0
+        c = 1.0 - epsilon - a
+        z = E * a + c * mass
+        return self.apply("softmax_xent", scores, rows=rows,
+                          cols=np.asarray(cols, dtype=np.intp), base=a / z,
+                          weights=c * weights / z[rows])
 
     def circcorr(self, a, b):
         return self.apply("circcorr", a, b)

@@ -22,7 +22,7 @@ import logging
 import os
 import sys
 
-from .datasets import SPLITS, TripleStore, add_inverse_relations
+from .datasets import SPLITS, add_inverse_relations
 from .evaluation import RANK_DEFINITIONS, compute_ranks
 from .hpo import StudyError, random_search
 from .models import InteractionSpec, build_interaction, load_checkpoint, save_checkpoint
@@ -64,12 +64,13 @@ def cmd_train(args):
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _load_eval_store(args):
+def _eval_files(args):
+    """The evaluate command's dataset section: split -> file."""
     if args.data:
-        return TripleStore.from_directory(args.data)
+        return {split: os.path.join(args.data, f"{split}.txt") for split in SPLITS}
     if not (args.train and args.valid and args.test):
         raise ConfigError(["evaluate: pass --data DIR or all of --train/--valid/--test"])
-    return TripleStore.from_files(args.train, args.valid, args.test)
+    return {"train": args.train, "valid": args.valid, "test": args.test}
 
 
 def cmd_evaluate(args):
@@ -79,12 +80,8 @@ def cmd_evaluate(args):
         spec, params, extra = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError) as e:
         raise DataError(f"cannot load checkpoint {args.checkpoint}: {e}")
-    try:
-        store = _load_eval_store(args)
-    except ConfigError:
-        raise
-    except (OSError, ValueError) as e:
-        raise DataError(str(e))
+    # an empty split would rank nothing and report NaN metrics
+    store = load_store(_eval_files(args), splits=(args.split,))
 
     if spec.num_entities != store.num_entities:
         raise DataError(

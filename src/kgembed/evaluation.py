@@ -127,8 +127,9 @@ class RankingResult:
         }
 
     def save_json(self, path):
+        # a NaN metric raises here rather than being written as invalid JSON
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, indent=2)
+            json.dump(self.to_json(), f, indent=2, allow_nan=False)
 
     def csv_rows(self, definitions=RANK_DEFINITIONS, sides=None):
         """One flat row per rank definition and side."""

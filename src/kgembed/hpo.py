@@ -34,7 +34,8 @@ import numpy as np
 from .evaluation import STOPPER_METRICS, rank_test_split
 from .losses import LOSS_CHECKS, loss_problem
 from .models import InteractionSpec
-from .pipeline import DataError, _is, _type_name, train_run
+from .datasets import SPLITS
+from .pipeline import _SPLIT_NAMES, DataError, _is, _type_name, train_run
 from .sampling import derive_seed, rng_for
 from .settings import require
 from .training import (APPROACHES, OPTIMIZER_CHECKS, OPTIMIZERS, TRAINING_CHECKS,
@@ -360,9 +361,10 @@ def random_search(space, store, *, budget=None, master_seed=0,
     inverse relations; all trials share one early-stopping section. The best
     record is the one with the highest validation metric (earlier trial wins
     ties); trials that were cut by the wall budget still compete when they
-    managed at least one evaluation. Zero completed trials is a StudyError,
-    and a loaded record whose config or seed is not the one its trial draws
-    is a DataError.
+    managed at least one evaluation. Zero completed trials is a StudyError.
+    A split with no triples, which every trial (train, valid) or the winner
+    (test) reads, is a DataError before the first trial, and so is a loaded
+    record whose config or seed is not the one its trial draws.
 
     Trial ids are drawn lazily, in order, skipping trials that already
     finished; no trial starts once the study's wall-time budget is spent.
@@ -372,6 +374,9 @@ def random_search(space, store, *, budget=None, master_seed=0,
     """
     if store.inverse_augmented:
         raise ValueError("random_search wants the un-augmented store")
+    for split in SPLITS:
+        if not store.num_triples(split):
+            raise DataError(f"the {_SPLIT_NAMES[split]} split has no triples")
     budget = budget or Budget()
     t_start = time.monotonic()
     study_deadline = t_start + budget.max_seconds if budget.max_seconds else None

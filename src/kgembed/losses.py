@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampling import TailLabels
 from .settings import check_fields, positive, require
 
 POINTWISE_KINDS = ("square_error", "bcel", "spl", "pointwise_hinge")
@@ -119,12 +120,15 @@ def cel_loss(g, spec, scores, labels):
     """Softmax cross entropy over each row of an all-entities score matrix.
 
     scores: (B, E) node; labels: (B, E) array of nonnegative rows summing
-    to 1 (rows of all zeros are rejected). Equals
-    mean_b [ logsumexp(scores_b) - sum_e labels_be * scores_be ], computed by
-    the fused softmax_xent op: its gradient (softmax(scores) - labels) / B is
-    built in one (B, E) buffer. The labels array is read, never written, and
-    stays referenced by the graph until the graph is dropped.
+    to 1 (rows of all zeros are rejected), passed to the op as its nonzero
+    entries, or an LCWA batch's TailLabels, which need no (B, E) array.
+    Equals mean_b [ logsumexp(scores_b) - sum_e labels_be * scores_be ],
+    computed by the fused softmax_xent op, whose gradient
+    (softmax(scores) - labels) / B is written into one (B, E) buffer.
     """
+    if isinstance(labels, TailLabels):
+        return g.softmax_xent(scores, labels.rows, labels.cols,
+                              epsilon=labels.epsilon).mean()
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != scores.shape:
         raise ValueError(f"labels shape {labels.shape} != scores shape {scores.shape}")
@@ -135,7 +139,8 @@ def cel_loss(g, spec, scores, labels):
         raise ValueError("cross-entropy labels must not be all-zero rows")
     if not np.allclose(sums, 1.0, atol=1e-9):
         raise ValueError("cross-entropy labels must sum to 1 per row")
-    return g.softmax_xent(scores, labels).mean()
+    rows, cols = np.nonzero(labels)
+    return g.softmax_xent(scores, rows, cols, labels[rows, cols]).mean()
 
 
 def loss_problem(approach, kind):
@@ -156,8 +161,8 @@ def batch_loss(g, spec, scores, labels=None):
     Pointwise kinds read it against the label row [1, 0, ..., 0], averaged
     over all B * (1 + K) scored triples; pairwise kinds and nssal pair column
     0 with the rest. With labels, scores is the (B, E) node of 1-N scoring
-    and labels its (B, E) array (multi-hot, possibly smoothed; already
-    normalized for the cross entropy).
+    and labels its (B, E) array (multi-hot, possibly smoothed), or for the
+    cross entropy the batch's TailLabels.
     """
     require("loss", loss_problem("slcwa" if labels is None else "lcwa", spec.kind))
     if spec.kind in POINTWISE_KINDS:

@@ -18,6 +18,7 @@ residual_false_negatives.
 """
 
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +110,15 @@ def slcwa_batches(store, batch_size, rng):
         yield train[order[start : start + batch_size]]
 
 
+class TailLabels(NamedTuple):
+    """An LCWA batch's known tails, as LCWATask.tails gives them, and its
+    label smoothing: the cross entropy's labels by position."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    epsilon: float
+
+
 class LCWATask:
     """Training-split (h, r) groups and the label rows of their true tails.
 
@@ -124,6 +134,12 @@ class LCWATask:
     def __len__(self):
         return self.pairs.shape[0]
 
+    def tails(self, indices):
+        """(rows, cols) of every known tail of the given groups, row i
+        standing for group indices[i]; distinct, in row order."""
+        pairs = self.pairs[np.asarray(indices, dtype=np.intp)]
+        return self._index.completions("tail", pairs[:, 0], pairs[:, 1])
+
     def label_matrix(self, indices, epsilon=0.0):
         """Label rows for the given group indices, in one fresh array.
 
@@ -132,10 +148,9 @@ class LCWATask:
         those rows otherwise.
         """
         require("label_smoothing", SAMPLING_CHECKS["label_smoothing"](epsilon))
-        pairs = self.pairs[np.asarray(indices, dtype=np.intp)]
-        labels = np.full((pairs.shape[0], self.num_entities),
+        labels = np.full((len(indices), self.num_entities),
                          epsilon / (self.num_entities - 1) if epsilon > 0.0 else 0.0)
-        labels[self._index.completions("tail", pairs[:, 0], pairs[:, 1])] = 1.0 - epsilon
+        labels[self.tails(indices)] = 1.0 - epsilon
         return labels
 
 
@@ -159,13 +174,13 @@ def smooth_labels(labels, epsilon, num_entities, normalize=False):
     return out
 
 
-def lcwa_batches(task, batch_size, rng, epsilon=0.0, normalize=False):
-    """Shuffled (head_ids, relation_ids, labels) batches for one epoch."""
+def lcwa_batches(task, batch_size, rng, epsilon=0.0, by_position=False):
+    """Shuffled (head_ids, relation_ids, labels) batches for one epoch; the
+    labels are label_matrix rows, or TailLabels with by_position (for cel)."""
     order = rng.permutation(len(task))
     for start in range(0, len(task), batch_size):
         idx = order[start : start + batch_size]
         pairs = task.pairs[idx]
-        labels = task.label_matrix(idx, epsilon)
-        if normalize:
-            labels /= labels.sum(axis=1, keepdims=True)  # every group has a tail
+        labels = (TailLabels(*task.tails(idx), epsilon) if by_position
+                  else task.label_matrix(idx, epsilon))
         yield pairs[:, 0], pairs[:, 1], labels

@@ -232,7 +232,7 @@ def train_epoch(model, params, store, config, optimizer, rng, sampler=None, task
     else:
         batches = ((h, r, None, labels) for h, r, labels in lcwa_batches(
             task, config.batch_size, rng, epsilon=config.label_smoothing,
-            normalize=config.loss.kind == "cel"))
+            by_position=config.loss.kind == "cel"))
     steps = [_step(model, params, config.loss, optimizer, *batch) for batch in batches]
     losses = [loss for loss in steps if loss is not None]
     if not losses:

@@ -66,8 +66,9 @@ def test_stable_extremes():
     sig = big.grad  # softplus' = sigmoid
     assert sig[0] == pytest.approx(1.0)
     assert sig[1] == pytest.approx(0.0, abs=1e-300)
-    lse = g.softmax_xent(g.leaf([[1000.0, 1000.0]]), np.zeros((1, 2))).value
-    assert lse[0] == pytest.approx(1000.0 + np.log(2.0))
+    # logsumexp - the labeled score; the logsumexp alone would be 1000 + ln 2
+    xent = g.softmax_xent(g.leaf([[1000.0, 1000.0]]), [0], [1]).value
+    assert xent[0] == pytest.approx(np.log(2.0))
 
 
 def test_einsum_forward_matches_numpy():
@@ -467,7 +468,7 @@ def test_min_kink_distance():
 
 def test_randomized_composite_expressions():
     rng = rng_seq(13)
-    labels = np.full((2, 3), 1.0 / 3.0)
+    rows, cols = np.nonzero(np.ones((2, 3)))  # uniform label rows
     for trial in range(15):
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(3, 3))
@@ -477,7 +478,7 @@ def test_randomized_composite_expressions():
             h = g.tanh(z)
             w = g.softplus(h)
             s = w / w.sum(axis=-1, keepdims=True)
-            return (s * g.softplus(-z)).sum() + g.softmax_xent(h, labels).mean()
+            return (s * g.softplus(-z)).sum() + g.softmax_xent(h, rows, cols).mean()
 
         err = finite_difference_check(build, [a, b])
         assert err < 1e-5, f"trial {trial}: rel err {err}"
@@ -519,27 +520,34 @@ def test_node_outliving_its_graph():
 # ---------------------------------------------------------------------------
 
 def _xent_rows(rng, kind, shape):
+    """Dense label rows and the softmax_xent arguments that give them:
+    (labels, rows, cols, keywords)."""
     B, E = shape
     if kind == "hard":
-        return np.eye(E)[rng.integers(0, E, size=B)]
+        labels = np.eye(E)[rng.integers(0, E, size=B)]
+        return (labels, *np.nonzero(labels), {})
     hot = (rng.random(shape) < 0.3).astype(float)
     hot[:, 0] = 1.0
+    rows, cols = np.nonzero(hot)
     if kind == "normalized":
-        return hot / hot.sum(axis=1, keepdims=True)
+        return hot / hot.sum(axis=1, keepdims=True), rows, cols, {}
+    if kind == "weighted":  # any positive weights, normalized per row
+        w = rng.uniform(0.5, 2.0, size=shape) * hot
+        return w / w.sum(axis=1, keepdims=True), rows, cols, {"weights": w[rows, cols]}
     eps = 0.1  # smoothed as in 1-N training, then normalized
     smooth = hot * (1.0 - eps) + (1.0 - hot) * (eps / (E - 1))
-    return smooth / smooth.sum(axis=1, keepdims=True)
+    return smooth / smooth.sum(axis=1, keepdims=True), rows, cols, {"epsilon": eps}
 
 
-@pytest.mark.parametrize("kind", ["hard", "smoothed", "normalized"])
+@pytest.mark.parametrize("kind", ["hard", "smoothed", "normalized", "weighted"])
 def test_softmax_xent_equals_logsumexp_minus_dot(kind):
     rng = rng_seq(15)
     scores = rng.normal(0, 3, size=(6, 9))
-    labels = _xent_rows(rng, kind, scores.shape)
+    labels, rows, cols, kw = _xent_rows(rng, kind, scores.shape)
 
     g = Graph()
     x = g.leaf(scores)
-    fused = g.softmax_xent(x, labels).mean()
+    fused = g.softmax_xent(x, rows, cols, **kw).mean()
     g.backward(fused)
 
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -553,37 +561,45 @@ def test_softmax_xent_equals_logsumexp_minus_dot(kind):
 
 def test_softmax_xent_finite_differences():
     rng = rng_seq(16)
-    labels = _xent_rows(rng, "smoothed", (4, 7))
+    _, rows, cols, kw = _xent_rows(rng, "smoothed", (4, 7))
     err = finite_difference_check(
-        lambda g, x: (g.softmax_xent(x, labels) * np.arange(1.0, 5.0)).sum(),
+        lambda g, x: (g.softmax_xent(x, rows, cols, **kw) * np.arange(1.0, 5.0)).sum(),
         [rng.normal(0, 2, size=(4, 7))])
     assert err <= 1e-4
 
 
 def test_softmax_xent_stays_finite_at_extreme_scores():
     rng = rng_seq(17)
-    labels = _xent_rows(rng, "normalized", (3, 5))
+    labels, rows, cols, _ = _xent_rows(rng, "normalized", (3, 5))
     scores = np.array([[1e3, -1e3, 0.0, 1e3, -1e3]] * 3)
     g = Graph()
     x = g.leaf(scores)
-    loss = g.softmax_xent(x, labels).mean()
+    loss = g.softmax_xent(x, rows, cols).mean()
     g.backward(loss)
     m = scores.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
     want = np.mean(lse - (labels * scores).sum(axis=1))
     assert np.isfinite(loss.value) and np.all(np.isfinite(x.grad))
     assert loss.value == pytest.approx(want, rel=1e-12)
-    softmax = np.exp(scores - lse[:, None])
+    # exp(scores - m) / its row sum: exp(scores - lse) is off by 1e-14 here,
+    # since 1000 + ln 2 keeps only 13 decimals of ln 2
+    softmax = np.exp(scores - m) / np.exp(scores - m).sum(axis=1, keepdims=True)
     assert np.allclose(x.grad, (softmax - labels) / 3, rtol=0, atol=1e-15)
 
 
 def test_softmax_xent_rejects_mismatched_operands():
     g = Graph()
     x = g.leaf(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="same shape"):
-        g.softmax_xent(x, np.ones((2, 4)) / 4)
-    with pytest.raises(ValueError, match="same shape"):
-        g.softmax_xent(g.leaf(np.zeros(3)), np.ones(3) / 3)
+    with pytest.raises(ValueError, match="needs .B, E. scores"):
+        g.softmax_xent(g.leaf(np.zeros(3)), [0], [0])
+    # a row with no position has no label distribution to normalize
+    with pytest.raises(ValueError, match="a label position in every row"):
+        g.softmax_xent(x, [0, 0], [0, 2])
+    with pytest.raises(ValueError, match="rows in"):
+        g.softmax_xent(x, [0, 1, 2], [0, 0, 0])
+    for epsilon in (-0.1, 1.0):
+        with pytest.raises(ValueError, match=r"label smoothing must lie in \[0, 1\)"):
+            g.softmax_xent(x, [0, 1], [0, 0], epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,18 @@ def test_evaluate_writes_csv_and_json(workspace, tmp_path, capsys):
     assert doc["metrics"]["both"]["realistic"]["count"] == 4
 
 
+@pytest.mark.parametrize("split, name", [("valid", "validation"), ("test", "test")])
+def test_evaluate_empty_split_exits_3(workspace, tmp_path, capsys, split, name):
+    # ranking no triples used to exit 0 and write NaN metrics into --output
+    data = write_dataset(tmp_path / "data", **{split: []})
+    out = tmp_path / "full.json"
+    assert main(["evaluate", str(workspace["checkpoint"]), "--data", str(data),
+                 "--split", split, "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {data / split}.txt: the {name} split has no triples\n", err
+    assert not out.exists()
+
+
 def test_evaluate_batch_size_does_not_change_results(workspace, capsys):
     args = ["evaluate", str(workspace["checkpoint"]),
             "--data", str(workspace["data"]), "--rank", "all"]

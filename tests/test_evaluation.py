@@ -13,6 +13,7 @@ from kgembed.evaluation import (
     FIRST_CHUNK_ROWS,
     RANK_DEFINITIONS,
     SIDES,
+    RankingResult,
     SideRanks,
     compute_ranks,
     make_validation_callback,
@@ -339,6 +340,15 @@ def test_json_and_csv_output(tmp_path):
     rows = res.csv_rows()
     assert len(rows) == 9  # 3 sides x 3 definitions
     assert {r["side"] for r in rows} == {"head", "tail", "both"}
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+def test_json_output_refuses_nan_metrics(tmp_path):
+    # the metrics of no ranked triples are NaN, which JSON cannot hold
+    empty = SideRanks(np.empty(0), np.empty(0), np.empty(0))
+    res = RankingResult({"head": empty, "tail": empty}, "valid", True)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="JSON compliant"):
+        res.save_json(tmp_path / "m.json")
 
 
 def test_validation_callback_returns_selected_metric():

@@ -414,6 +414,25 @@ def test_random_search_rejects_bad_inputs():
         random_search(tiny_space(), add_inverse_relations(store))
 
 
+@pytest.mark.parametrize("split, name", [("train", "training"), ("valid", "validation"),
+                                         ("test", "test")])
+def test_random_search_rejects_an_empty_split_before_the_first_trial(
+        tmp_path, monkeypatch, split, name):
+    # every trial validates, so an empty validation split used to run every
+    # trial and then end in max() of an empty sequence
+    import kgembed.hpo as hpo
+
+    splits = list(TOY_SPLITS)
+    splits[SPLITS.index(split)] = []
+    store = TripleStore.from_labeled_triples(*splits)
+    monkeypatch.setattr(hpo, "train_run", lambda *a, **k: pytest.fail("a trial ran"))
+    with pytest.raises(DataError, match=f"^the {name} split has no triples$"):
+        random_search(tiny_space(), store, budget=Budget(max_trials=1),
+                      records_path=tmp_path / "trials.jsonl",
+                      manifest_path=tmp_path / "manifest.json")
+    assert not list(tmp_path.iterdir())
+
+
 def test_study_with_no_completed_trials_raises(monkeypatch):
     import kgembed.hpo as hpo
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import log_softmax, softmax
 
 from kgembed.autodiff import Graph, finite_difference_check
+from kgembed.datasets import TripleStore
 from kgembed.losses import (
     KINDS,
     LCWA_KINDS,
@@ -20,6 +21,7 @@ from kgembed.losses import (
     pairwise_loss,
     pointwise_loss,
 )
+from kgembed.sampling import LCWATask, lcwa_batches, smooth_labels
 
 
 def softplus(x):
@@ -257,6 +259,48 @@ def test_cel_label_validation():
         cel_loss(g, LossSpec("cel"), scores, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="sum to 1"):
         cel_loss(g, LossSpec("cel"), scores, [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def several_tails_task():
+    # groups with 1 to 4 known tails, over 9 entities
+    train = [("e0", "r", f"e{t}") for t in (1, 2, 3, 4)]
+    train += [("e1", "r", "e0"), ("e2", "r", "e5"), ("e2", "r", "e6")]
+    train += [("e3", "s", f"e{t}") for t in (7, 8, 0)]
+    return LCWATask(TripleStore.from_labeled_triples(train))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_cel_on_tail_positions_equals_the_dense_oracle(epsilon, scale):
+    # the batch's known tails, smoothed and normalized inside the op, against
+    # the log-softmax oracle on the dense rows the parent path built
+    task = several_tails_task()
+    E = task.num_entities
+    rng = np.random.default_rng(11)
+    order = np.random.default_rng(3).permutation(len(task))
+    batches = lcwa_batches(task, 3, np.random.default_rng(3), epsilon, by_position=True)
+    for start, (_, _, labels) in zip(range(0, len(task), 3), batches):
+        idx = order[start : start + 3]
+        want = smooth_labels(task.label_matrix(idx), epsilon, E, normalize=True)
+        scores = rng.choice([-1.0, 1.0], size=want.shape) * scale * rng.random(want.shape)
+        g = Graph()
+        x = node(g, scores)
+        loss = cel_loss(g, LossSpec("cel"), x, labels)
+        g.backward(loss)
+        value = -np.mean((want * log_softmax(scores, axis=1)).sum(axis=1))
+        assert loss.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        grad = (softmax(scores, axis=1) - want) / len(idx)
+        assert np.max(np.abs(x.grad - grad)) <= 1e-12
+
+
+def test_cel_on_tail_positions_finite_differences():
+    task = several_tails_task()
+    _, _, labels = next(lcwa_batches(task, len(task), np.random.default_rng(0), 0.2,
+                                     by_position=True))
+    err = finite_difference_check(
+        lambda g, x: cel_loss(g, LossSpec("cel"), x, labels),
+        [np.random.default_rng(1).normal(0, 2, size=(len(task), task.num_entities))])
+    assert err <= 1e-4
 
 
 def test_cel_invariant_to_score_shift():

@@ -374,12 +374,19 @@ def test_lcwa_batches_cover_every_pair_once():
 
 
 def test_lcwa_batches_apply_smoothing_and_normalization():
+    # by position, a batch carries its known tails and epsilon; the rows they
+    # stand for, smoothed and normalized, are distributions with no zero
     s = toy_store()
     task = LCWATask(s)
     rng = np.random.default_rng(10)
-    for _, _, labels in lcwa_batches(task, 10, rng, epsilon=0.1, normalize=True):
-        assert np.allclose(labels.sum(axis=1), 1.0)
-        assert np.all(labels > 0)
+    for h, _, labels in lcwa_batches(task, 10, rng, epsilon=0.1, by_position=True):
+        assert labels.epsilon == 0.1
+        assert set(labels.rows.tolist()) == set(range(len(h)))  # a tail in every row
+        rows = np.zeros((len(h), s.num_entities))
+        rows[labels.rows, labels.cols] = 1.0
+        rows = smooth_labels(rows, labels.epsilon, s.num_entities, normalize=True)
+        assert np.allclose(rows.sum(axis=1), 1.0)
+        assert np.all(rows > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +425,25 @@ def test_smooth_labels_leaves_its_argument_unchanged(epsilon, normalize):
 
 
 def test_lcwa_batches_equal_smoothing_the_label_matrix():
-    # the batches build smoothed rows directly and normalize them in place;
-    # the values must be exactly those of smooth_labels on the multi-hot rows
+    # dense batches hold exactly label_matrix's rows, which are smooth_labels
+    # of the multi-hot rows; batches by position hold those rows' known
+    # tails, distinct and in row order, and the epsilon to smooth them with
     task = LCWATask(toy_store())
-    for epsilon, normalize in ((0.0, False), (0.1, False), (0.1, True), (0.0, True)):
+    E = task.num_entities
+    for epsilon, by_position in ((0.0, False), (0.1, False), (0.1, True), (0.0, True)):
         rng = np.random.default_rng(4)
         order = np.random.default_rng(4).permutation(len(task))
         for start, (h, r, labels) in zip(range(0, len(task), 2),
-                                          lcwa_batches(task, 2, rng, epsilon, normalize)):
+                                          lcwa_batches(task, 2, rng, epsilon, by_position)):
             idx = order[start : start + 2]
             assert np.array_equal(np.stack([h, r], axis=1), task.pairs[idx])
-            want = smooth_labels(task.label_matrix(idx), epsilon, task.num_entities,
-                                 normalize=normalize)
-            assert np.array_equal(labels, want)
+            hot = task.label_matrix(idx)
+            if not by_position:
+                assert np.array_equal(labels, smooth_labels(hot, epsilon, E))
+                continue
+            assert labels.epsilon == epsilon
+            assert [labels.rows.tolist(), labels.cols.tolist()] == [
+                a.tolist() for a in np.nonzero(hot)]
 
 
 def test_smooth_labels_range_check():
