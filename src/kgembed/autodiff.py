@@ -6,8 +6,8 @@ by a single reverse sweep in construction order (construction order is a
 topological order because the graph is append-only).
 
 Graphs are cheap, throwaway objects: build one per batch, call backward once,
-read the leaf gradients, drop it. A Graph is not thread-safe; confine each
-graph to the thread that built it.
+read the leaf gradients and the loss, drop it. A Graph is not thread-safe;
+confine each graph to the thread that built it.
 
 Gradient ownership: a VJP may return views of its inputs or the very array it
 was handed (`add` gives the same `g` to both parents), and returns None for a
@@ -18,7 +18,12 @@ contribution). An inner node keeps a C-contiguous view as it is: reshapes
 hand such views down every (B, N, ...) score, and a copy there would be one
 more array per step; a strided view is copied, since the VJPs that read it
 run slower on it. Leaf gradients may alias each other or internal arrays and
-must be treated as read-only by their readers.
+must be treated as read-only by their readers. Once an interior node's own
+VJP has run, backward releases its gradient and its value (both become
+None): the sweep runs in reverse construction order, a value is read only by
+its node's VJP and its children's, which come later in the graph, and the
+gradient has been handed to the parents. Leaves, the loss, and nodes the
+sweep does not reach keep theirs.
 
 Contractions: einsum2 is the one contraction op; `a @ b` on nodes is
 sugar for einsum2 "ij,jk->ik". Every einsum2 node, in its forward and in its
@@ -34,9 +39,10 @@ distinct (row, col) positions, the form a smoothed, normalized multi-hot row
 has. Its forward keeps exp(x - max) and the row sums, and its VJP writes
 the score gradient into that buffer, so it builds no (B, E) label array.
 
-Memory: a step's large temporaries are freed when its graph is dropped, and
-glibc would hand them back to the kernel, so the next step faults them in
-again. keep_heap() tells glibc to keep them; training.train and
+Memory: the sweep frees each interior node's value and gradient as it passes
+the node; the rest of a step is freed when its graph is dropped. glibc would
+hand that memory back to the kernel, so the next step faults it in again.
+keep_heap() tells glibc to keep it; training.train and
 evaluation.compute_ranks call it.
 """
 
@@ -457,8 +463,8 @@ class Node:
         op: op kind string; "leaf" for inputs and constants
         parents: tuple of parent nodes
         attrs: op attributes (shapes, axes, indices, ...)
-        value: the eagerly computed float64 array
-        grad: dLoss/dValue after Graph.backward, else None
+        value: the eagerly computed float64 array; None once backward released it
+        grad: dLoss/dValue after Graph.backward for leaves and the loss, else None
     """
 
     __slots__ = ("id", "op", "parents", "attrs", "value", "grad", "requires_grad", "_graph")
@@ -484,6 +490,8 @@ class Node:
 
     @property
     def shape(self):
+        if self.value is None:
+            raise RuntimeError(f"{self!r}: Graph.backward released its value")
         return self.value.shape
 
     # arithmetic sugar; non-Node operands become constants of the same graph
@@ -538,11 +546,12 @@ class Node:
 
     @property
     def T(self):
-        axes = tuple(reversed(range(self.value.ndim)))
+        axes = tuple(reversed(range(len(self.shape))))
         return self.graph.apply("transpose", self, axes=axes)
 
     def __repr__(self):
-        return f"Node(id={self.id}, op={self.op!r}, shape={self.value.shape})"
+        held = "released" if self.value is None else f"shape={self.value.shape}"
+        return f"Node(id={self.id}, op={self.op!r}, {held})"
 
 
 class Graph:
@@ -665,9 +674,11 @@ class Graph:
     # ----- backward --------------------------------------------------------
 
     def backward(self, loss):
-        """Accumulate dLoss/dNode into every reachable node's grad slot.
+        """Accumulate dLoss/dLeaf into every leaf the loss depends on.
 
-        loss must be a scalar (size-1) node of this graph.
+        loss must be a scalar (size-1) node of this graph. Each interior
+        node's grad and value are released (set to None) once its own VJP has
+        run; leaves, the loss and nodes off the loss's paths keep theirs.
         """
         if loss.graph is not self:
             raise ValueError("loss node belongs to a different graph")
@@ -684,6 +695,8 @@ class Graph:
             if not any(p.requires_grad for p in node.parents):
                 continue
             grads = _VJP[node.op](node.grad, node, *[p.value for p in node.parents])
+            if node is not loss:
+                node.grad = node.value = None  # no later VJP reads them
             for parent, pg in zip(node.parents, grads):
                 if pg is None or not parent.requires_grad:
                     continue
@@ -704,7 +717,8 @@ class Graph:
 
         Gradient checks near a relu/clip/L1-norm corner are meaningless; callers
         redraw their sample point when this falls under the step size.
-        Returns +inf when the graph holds no kinked op.
+        Returns +inf when the graph holds no kinked op. Call it before
+        backward, which releases the inputs it reads.
         """
         dist = np.inf
         for node in self.nodes:

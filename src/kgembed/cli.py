@@ -7,7 +7,8 @@ Subcommands:
     hpo       random-search study from a JSON study document
     report    comparison tables over result.json files
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for data problems
+Exit codes: 0 on success, 2 for configuration problems (including sizes that
+pass validation but do not fit in memory: a MemoryError), 3 for data problems
 (missing or malformed files, vocabulary mismatches), 4 when training
 diverges or a study produces no completed trial. The only environment
 overrides are KGEMBED_OUTPUT_DIR (replaces every output directory) and
@@ -277,6 +278,9 @@ def main(argv=None):
     except ConfigError as e:
         for problem in e.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"config error: the configured sizes do not fit in memory: {e}", file=sys.stderr)
         return 2
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)

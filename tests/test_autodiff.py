@@ -146,9 +146,9 @@ def test_circcorr_matches_quadratic_oracle():
             g = Graph()
             la, lb = g.leaf(a), g.leaf(b)
             out = g.circcorr(la, lb)
-            g.backward((out * c).sum())
             assert out.shape == want.shape
             assert np.max(np.abs(out.value - want)) <= 1e-12
+            g.backward((out * c).sum())
             b_full, a_full = np.broadcast_to(b, want.shape), np.broadcast_to(a, want.shape)
             ga = _sum_to(np.einsum("...i,...ik->...k", c, b_full[..., shift]), a_shape)
             gb = _sum_to(np.einsum("...i,...k,ikj->...j", c, a_full, onehot), b_shape)
@@ -330,8 +330,27 @@ def test_sum_over_paths_accumulation():
     assert np.allclose(x.grad, [8.0, 12.0])
 
 
+@pytest.fixture
+def swept(monkeypatch):
+    """Node id -> the gradient array each VJP was handed, kept past the
+    sweep, which releases interior nodes' own references to them."""
+    from kgembed import autodiff
+
+    handed = {}
+
+    def recording(vjp):
+        def run(g, node, *values):
+            handed[node.id] = g
+            return vjp(g, node, *values)
+        return run
+
+    for op, vjp in list(autodiff._VJP.items()):
+        monkeypatch.setitem(autodiff._VJP, op, recording(vjp))
+    return handed
+
+
 @pytest.mark.parametrize("add_last", [False, True])
-def test_in_place_accumulation_leaves_shared_gradients_alone(add_last):
+def test_in_place_accumulation_leaves_shared_gradients_alone(add_last, swept):
     # add hands one g to both parents; x gets four contributions, the last
     # two accumulated in place into a buffer the sweep allocated. The sweep
     # runs in reverse construction order, so with add_last the shared g
@@ -347,12 +366,12 @@ def test_in_place_accumulation_leaves_shared_gradients_alone(add_last):
     loss = z.sum() + w.sum()
     g.backward(loss)
     assert np.array_equal(x.grad, 2.0 + 2.0 * np.array([2.0, 3.0]))
-    assert np.array_equal(z.grad, [1.0, 1.0])
-    assert np.array_equal(w.grad, [1.0, 1.0])
+    assert np.array_equal(swept[z.id], [1.0, 1.0])
+    assert np.array_equal(swept[w.id], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("add_last", [False, True])
-def test_in_place_accumulation_with_a_parent_on_two_paths(add_last):
+def test_in_place_accumulation_with_a_parent_on_two_paths(add_last, swept):
     # a feeds a + b and two other paths; b's gradient is the very array a
     # receives from the add, so accumulating into a must not write into it
     rng = rng_seq(14)
@@ -369,20 +388,20 @@ def test_in_place_accumulation_with_a_parent_on_two_paths(add_last):
     g.backward(loss)
     grad_c = 2.0 * (av + bv)
     assert np.allclose(b.grad, grad_c, rtol=0, atol=1e-14)
-    assert np.allclose(c.grad, grad_c, rtol=0, atol=1e-14)
+    assert np.allclose(swept[c.id], grad_c, rtol=0, atol=1e-14)
     want_a = grad_c + 3.0 * (1.0 - np.tanh(av) ** 2) + 2.0 * av
     assert np.allclose(a.grad, want_a, rtol=0, atol=1e-12)
 
 
-def test_in_place_accumulation_after_a_view_gradient():
-    # reshape's VJP returns a view of y.grad; the copy x keeps is its own
+def test_in_place_accumulation_after_a_view_gradient(swept):
+    # reshape's VJP returns a view of y's gradient; the copy x keeps is its own
     g = Graph()
     x = g.leaf(np.arange(4.0).reshape(2, 2))
     c = np.array([1.0, -2.0, 0.5, 4.0])
     y = x.reshape((4,))
     loss = (y * c).sum() + (x * x).sum() + (x * 5.0).sum()
     g.backward(loss)
-    assert np.array_equal(y.grad, c)
+    assert np.array_equal(swept[y.id], c)
     assert np.array_equal(x.grad, c.reshape(2, 2) + 2.0 * x.value + 5.0)
 
 
@@ -502,17 +521,69 @@ def test_dropped_graphs_free_without_the_cycle_collector():
     assert witness() is None  # no gc.collect() needed
 
 
+def test_backward_releases_what_no_later_vjp_reads():
+    # interior nodes on the loss's paths give up their value and gradient as
+    # soon as their own VJP has run; leaves, the loss, nodes off its paths
+    # and nodes built from constants alone keep theirs
+    g = Graph()
+    x, w = g.leaf([1.0, -2.0, 3.0]), g.leaf([0.5, 0.25, 2.0])
+    c = g.constant([2.0, 2.0, 2.0])
+    scaled = c * 3.0
+    h = g.tanh(x * w)
+    loss = (h * scaled + g.square(h)).sum()
+    off = g.softplus(x)
+    g.backward(loss)
+    interior = {node.id for node in g.nodes[: loss.id]
+                if node.op != "leaf" and node.requires_grad}
+    assert len(interior) == 5
+    for node in g.nodes:
+        if node.id in interior:
+            assert node.value is None and node.grad is None
+        else:
+            assert node.value is not None
+    assert loss.value == pytest.approx(np.sum(np.tanh([0.5, -0.5, 6.0]) * 6.0
+                                              + np.tanh([0.5, -0.5, 6.0]) ** 2))
+    assert np.array_equal(scaled.value, [6.0, 6.0, 6.0])
+    assert np.array_equal(off.value, np.log1p(np.exp([1.0, -2.0, 3.0])))
+    assert x.grad is not None and w.grad is not None and c.grad is None
+    assert repr(h) == f"Node(id={h.id}, op='tanh', released)"
+    assert repr(off) == f"Node(id={off.id}, op='softplus', shape=(3,))"
+    with pytest.raises(RuntimeError, match=r"op='tanh', released\): Graph.backward released"):
+        _ = h.shape
+    with pytest.raises(RuntimeError, match="released"):
+        _ = h.T
+    assert (off + 1.0).shape == (3,)  # what the sweep kept stays usable
+
+
+def test_a_training_step_releases_every_interior_node():
+    # one complex sLCWA step: only leaves and the loss hold arrays afterwards
+    from kgembed import losses, models
+
+    model = models.build_interaction(models.InteractionSpec("complex", num_entities=6,
+                                                            num_relations=2, d_e=4))
+    params = models.init_parameters(model, 0)
+    g = Graph()
+    P = model.leaves(g, params)
+    scores = model.score_triples(g, P, [[0, 1, 2], [3, 4, 5]], [0, 1], [[1, 2, 3], [4, 5, 0]])
+    loss = losses.batch_loss(g, losses.LossSpec("bcel"), scores)
+    g.backward(loss)
+    assert loss.value is not None and loss.grad is not None
+    kept = [node for node in g.nodes[: loss.id] if node.value is not None]
+    assert {node.op for node in kept} == {"leaf"}
+    assert all(node.grad is not None for node in P.values())
+
+
 def test_node_outliving_its_graph():
     g = Graph()
     x = g.leaf([2.0])
-    y = x * 4.0
-    g.backward(y.sum())
+    loss = (x * 4.0).sum()
+    g.backward(loss)
     del g
-    # stored results stay readable, building new ops does not
-    assert y.value[0] == 8.0
+    # the results backward keeps stay readable, building new ops does not
+    assert loss.value == 8.0
     assert x.grad[0] == 4.0
     with pytest.raises(ReferenceError):
-        _ = y * 2.0
+        _ = loss * 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +835,10 @@ def test_op_table_holds_exactly_the_ops_models_and_losses_reach():
 # ---------------------------------------------------------------------------
 
 def _model_graphs():
-    """The backward-swept graphs of every model's scoring paths: (B,) and
-    (B, N) triples, every tail and every head."""
+    """The graphs of every model's scoring paths: (B,) and (B, N) triples,
+    every tail and every head. Each is yielded before its backward sweep,
+    which releases interior values, and swept when the caller asks for the
+    next one."""
     from kgembed import models
 
     h, r, t = np.array([0, 4]), np.array([1, 0]), np.array([2, 4])
@@ -780,8 +853,9 @@ def _model_graphs():
                      lambda g, P: model.score_triples(g, P, h, r, None),
                      lambda g, P: model.score_triples(g, P, None, r, t)):
             g = Graph()
-            g.backward(path(g, model.leaves(g, params)).sum())
+            loss = path(g, model.leaves(g, params)).sum()
             yield g
+            g.backward(loss)
 
 
 def _close(got, want):

@@ -239,6 +239,29 @@ def test_train_oversized_model_exits_2(tmp_path, capsys, kind):
     assert "config error: model: d_e must lie in [1, 2147483647]" in capsys.readouterr().err
 
 
+def test_train_model_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # d_e = 2**30 passes validation, and numpy's request for the entity
+    # table in init_parameters ended in an _ArrayMemoryError traceback; the
+    # request is faked here, so nothing large is allocated
+    from kgembed import pipeline
+
+    def refuse(model, seed):
+        raise MemoryError("Unable to allocate 40.0 GiB for an array with shape "
+                          "(5, 1073741824) and data type float64")
+
+    monkeypatch.setattr(pipeline, "init_parameters", refuse)
+    data = write_dataset(tmp_path / "data")
+    doc = run_config(data, tmp_path / "out")
+    doc["model"] = {"kind": "distmult", "d_e": 2**30}
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(doc))
+    assert main(["train", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: the configured sizes do not fit in memory: Unable to "
+                   "allocate 40.0 GiB for an array with shape (5, 1073741824) and data "
+                   "type float64\n")
+
+
 def test_train_too_many_negatives_exits_2(tmp_path, capsys):
     # the sampler's first draw ended in an OverflowError traceback
     data = write_dataset(tmp_path / "data")
